@@ -123,6 +123,19 @@ class FleetDetector:
         """A chunked-input driver over this detector's state."""
         return FleetStream(self, t0s)
 
+    def reset(self, rows: Sequence[int]) -> None:
+        """Forget the baseline state of ``rows`` (a cold restart).
+
+        Row-wise :meth:`NodeDetector.reset`: the eq.-4/5 mean and std,
+        the seeded flag and the init buffer are cleared, so each row
+        re-seeds from its next ``init_windows`` evaluated windows.
+        """
+        for i in rows:
+            self._mean[i] = 0.0
+            self._std[i] = 0.0
+            self._seeded[i] = False
+            self._init_buffers[i] = []
+
     # ------------------------------------------------------------------
     # One lockstep window
     # ------------------------------------------------------------------

@@ -272,6 +272,9 @@ class NetworkNode:
         gates and billing of :meth:`feed_window` — a crashed or
         battery-dead node discards its outcome exactly as it would have
         skipped the window — and hands the result to the SID machine.
+        ``initialized`` (the precomputed baseline's seeded flag after
+        this window) also closes a cold restart's re-warm-up blind
+        window, as the detector's own flag does in :meth:`feed_window`.
         """
         if not self.alive:
             return
@@ -283,6 +286,8 @@ class NetworkNode:
         if telemetry is not None:
             telemetry.metrics.counter("windows_processed").inc()
         actions = self.sid.on_window_outcome(report, t0, initialized=initialized)
+        if self._blind_since is not None and initialized:
+            self._close_blind_window()
         self._dispatch(actions)
         self._dispatch(self.sid.on_timer(self.network.sim.now))
 
@@ -303,7 +308,9 @@ class NetworkNode:
         depletion just as the individual feeds would have — so the
         billing is arithmetically identical to the un-elided schedule.
         (The runner only elides when no fault plan is active, so
-        ``alive`` and the drain multiplier cannot change mid-run.)
+        ``alive`` and the drain multiplier cannot change mid-run, and
+        when no low-charge watch is armed, whose watermark crossing
+        would observe the reordered draws.)
         """
         if not self.alive:
             return

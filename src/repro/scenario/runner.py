@@ -338,24 +338,67 @@ class NetworkScenarioResult:
         )
 
 
+def _effective_crashes(
+    faults: FaultPlan | None, node_ids: Sequence[int], now: float
+) -> dict[int, list[tuple[float, float]]]:
+    """Each node's ``(crash, reboot)`` outages as the event loop applies them.
+
+    Crash events are scheduled at install time, so they pop in
+    ``(max(at_s, now), plan index)`` order — and before any run-time
+    reboot at the same instant.  ``FaultInjector._crash`` ignores a
+    crash on a node that is still down, so such a crash (and the reboot
+    it would have scheduled) has no effect; it is dropped here.  A crash
+    without reboot keeps its node down for good (``reboot = inf``).
+    """
+    out: dict[int, list[tuple[float, float]]] = {nid: [] for nid in node_ids}
+    if faults is None:
+        return out
+    order = sorted(
+        range(len(faults.node_crashes)),
+        key=lambda k: (max(faults.node_crashes[k].at_s, now), k),
+    )
+    for k in order:
+        crash = faults.node_crashes[k]
+        outages = out.get(crash.node_id)
+        if outages is None:
+            continue
+        lo = max(crash.at_s, now)
+        if outages and lo <= outages[-1][1]:
+            continue
+        hi = (
+            lo + crash.reboot_after_s
+            if crash.reboot_after_s is not None
+            else math.inf
+        )
+        outages.append((lo, hi))
+    return out
+
+
 def _fleet_network_outcomes(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
     faults: FaultPlan | None,
     now: float,
+    cold_restarts: bool,
 ) -> dict[int, list[tuple[int, Optional[NodeReport], bool]]] | None:
     """Precompute every node's window outcomes for the event loop.
 
     Detection is purely local (no radio feedback reaches eqs. 4-8), so
     the whole fleet's Delta-t walk can run vectorized before the
-    discrete-event simulation starts.  The only run-time influence on a
-    node's detector state is a *skipped* window — a crashed node's
-    ``feed_window`` returns before touching the detector — so the walk
-    masks out exactly the windows whose end times land inside a planned
-    crash interval.  (Battery depletion also skips windows, but a
-    depleted node never comes back, so discarding its precomputed
-    outcomes at feed time is observably identical.)
+    discrete-event simulation starts.  The run-time influences on a
+    node's detector state are all fixed by the fault plan up front:
+
+    * a *skipped* window — a crashed node's ``feed_window`` returns
+      before touching the detector — so the walk masks out exactly the
+      windows whose end times land inside an effective crash interval;
+    * with ``cold_restarts`` (healing armed without a persisted
+      baseline) a reboot resets the node's baseline, so the walk resets
+      that row just before the first window ending after the reboot.
+
+    (Battery depletion also skips windows, but a depleted node never
+    comes back, so discarding its precomputed outcomes at feed time is
+    observably identical.)
 
     Returns ``{node_id: [(start, report-or-None, seeded_after)]}`` with
     one entry per *evaluated* window, or ``None`` when the traces do
@@ -372,49 +415,45 @@ def _fleet_network_outcomes(
     starts = window_starts(det_cfg, zs[0].size)
     if not starts:
         return out
+    rate = det_cfg.rate_hz
+    w = det_cfg.window_samples
+    # Window start/end times, (nodes, windows), with the event loop's
+    # own float arithmetic: t_start = t0 + start / rate, t_end = t_start
+    # + w / rate.
+    t_starts = (
+        np.array([float(traces[n.node_id].t0) for n in nodes])[:, None]
+        + (np.asarray(starts) / rate)[None, :]
+    )
+    t_ends = t_starts + w / rate
     # A window is skipped iff its end time falls inside [crash, reboot]
     # (both ends inclusive): the crash event is scheduled at install
     # time, before the feed events, so it pops first on a time tie; the
     # reboot event is scheduled during the run, after the feeds, so the
     # feed at the reboot instant still sees a dead node.
-    intervals: dict[int, list[tuple[float, float]]] = {
-        n.node_id: [] for n in nodes
-    }
-    if faults is not None:
-        for crash in faults.node_crashes:
-            if crash.node_id not in intervals:
-                continue
-            lo = max(crash.at_s, now)
-            hi = (
-                lo + crash.reboot_after_s
-                if crash.reboot_after_s is not None
-                else math.inf
-            )
-            intervals[crash.node_id].append((lo, hi))
+    active = np.ones(t_ends.shape, dtype=bool)
+    resets: dict[int, list[int]] = {}
+    outages = _effective_crashes(faults, [n.node_id for n in nodes], now)
+    for i, node in enumerate(nodes):
+        for lo, hi in outages[node.node_id]:
+            active[i] &= (t_ends[i] < lo) | (t_ends[i] > hi)
+            if cold_restarts and hi < math.inf:
+                k = int(np.searchsorted(t_ends[i], hi, side="right"))
+                resets.setdefault(k, []).append(i)
     a = preprocess_z_counts_batch(np.stack(zs), det_cfg.preprocess)
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    rate = det_cfg.rate_hz
-    w = det_cfg.window_samples
-    t0s = [traces[n.node_id].t0 for n in nodes]
-    for start in starts:
-        window_t0s = [float(t0) + start / rate for t0 in t0s]
-        active = np.array(
-            [
-                not any(
-                    lo <= window_t0s[i] + w / rate <= hi
-                    for lo, hi in intervals[nodes[i].node_id]
-                )
-                for i in range(len(nodes))
-            ],
-            dtype=bool,
+    rows: list[list[tuple[int, Optional[NodeReport], bool]]] = [
+        out[n.node_id] for n in nodes
+    ]
+    for k, start in enumerate(starts):
+        if k in resets:
+            fleet.reset(resets[k])
+        act = active[:, k]
+        reports = fleet.step(
+            a[:, start : start + w], t_starts[:, k].tolist(), active=act
         )
-        reports = fleet.step(a[:, start : start + w], window_t0s, active=active)
-        seeded = fleet.seeded
-        for i, node in enumerate(nodes):
-            if active[i]:
-                out[node.node_id].append(
-                    (start, reports[i], bool(seeded[i]))
-                )
+        seeded = fleet.seeded.tolist()
+        for i in np.flatnonzero(act).tolist():
+            rows[i].append((start, reports[i], seeded[i]))
     return out
 
 
@@ -493,13 +532,13 @@ def _billing_order_free(
     Deferring a quiet window's ``draw_cpu`` to a batched catch-up event
     reorders it against interleaved radio draws; energy sums commute,
     so the reorder is observable only through the depletion gate (and
-    the low-charge watch, which only the healing path arms).  This
-    check proves depletion unreachable: each battery's remaining charge
-    must exceed its full-run CPU billing plus a crude upper bound on
-    fleet-wide radio traffic — every report dispatch can fan out floods
-    and relays to every node, retried in full and generously oversized
-    per frame.  A deployment running batteries tight enough to fail
-    this simply keeps the one-event-per-window schedule.
+    the low-charge watch, whose runs the caller keeps off elision).
+    This check proves depletion unreachable: each battery's remaining
+    charge must exceed its full-run CPU billing plus a crude upper bound
+    on fleet-wide radio traffic — every report dispatch can fan out
+    floods and relays to every node, retried in full and generously
+    oversized per frame.  A deployment running batteries tight enough
+    to fail this simply keeps the one-event-per-window schedule.
     """
     n_nodes = sum(1 for _ in deployment)
     n_dispatches = sum(
@@ -560,10 +599,10 @@ def run_network_scenario(
     dead parents, hop-by-hop relay retries, cold-restart recovery,
     battery-triggered sentinel demotion).  ``None`` — the default —
     installs nothing and keeps every path bit-identical to the
-    pre-healing transport.  Because a cold restart resets a node's
-    eq. 5 baseline at run time, healing forces the ``"reference"``
-    detection engine (the fleet precompute assumes baselines are never
-    reset mid-run).
+    pre-healing transport.  A cold restart resets a node's eq. 5
+    baseline at its reboot, and the plan fixes every reboot time before
+    the run starts, so the fleet precompute resets the node's detector
+    row at the same point and healed runs keep the fleet engine.
 
     ``resync_interval_s`` schedules a periodic fleet-wide time-sync
     beacon (None disables it); crashed nodes miss their beacons and a
@@ -573,7 +612,8 @@ def run_network_scenario(
     ``detection_engine`` selects how per-window detection runs:
     ``"fleet"`` (default) precomputes every window outcome with the
     lockstep-vectorized engine and replays them through the event loop
-    (bit-identical to the reference, including planned crash windows);
+    (bit-identical to the reference, including planned crash windows
+    and cold restarts);
     ``"reference"`` feeds raw windows into each node's own detector at
     event time.
 
@@ -587,10 +627,10 @@ def run_network_scenario(
     scheduling provably-no-op window feeds and timer ticks during
     radio-quiet stretches, coalescing their battery billing into
     batched catch-up events with arithmetically identical draws.  It
-    only ever engages when the precompute ran and no fault plan is
-    active, and the result is bit-identical either way; set it False to
-    force the one-event-per-window schedule (the benchmarks' reference
-    arm does).
+    only ever engages when the precompute ran, no fault plan is active
+    and no low-charge watch is armed, and the result is bit-identical
+    either way; set it False to force the one-event-per-window schedule
+    (the benchmarks' reference arm does).
 
     ``sanitizer`` (optional) attaches a :class:`repro.sanitize.
     Sanitizer` recording probe: per-event shadow access sets, order-
@@ -667,7 +707,10 @@ def run_network_scenario(
         # instrumentation follows in the deployment loop, before any
         # node callbacks are scheduled.
         sanitizer.attach_network(network)
-    if healing is not None and healing.demote_battery_fraction is not None:
+    watch_low = (
+        healing is not None and healing.demote_battery_fraction is not None
+    )
+    if watch_low:
         # Fault-aware duty cycling: a drained battery demotes its node
         # to sentinel (non-relaying) duty through the healing runtime.
         for node in deployment:
@@ -681,16 +724,22 @@ def run_network_scenario(
     # from its own reports (TravelLine.fit_from_reports).
 
     window = cfg.detector.window_samples
-    # The fleet precompute assumes no baseline resets mid-run; a
-    # healing-armed run can cold-restart detectors at reboot time, so
-    # it always takes the reference feed path.
-    # The precompute's FleetDetector stays untraced: its alarms replay
+    # Healing cold-restarts a rebooted node's baseline unless it is
+    # persisted; the precompute replays those resets at the planned
+    # reboot times.  Its FleetDetector stays untraced: its alarms replay
     # through each SIDNode at event time, which is where they are
     # emitted (tracing both would double-count every alarm).
-    if detection_engine == "fleet" and healing is None:
+    if detection_engine == "fleet":
         with maybe_stage(telemetry, "detection_precompute"):
             outcomes = _fleet_network_outcomes(
-                deployment, traces, cfg.detector, faults, network.sim.now
+                deployment,
+                traces,
+                cfg.detector,
+                faults,
+                network.sim.now,
+                cold_restarts=(
+                    healing is not None and not healing.persist_baseline
+                ),
             )
     else:
         outcomes = None
@@ -702,11 +751,13 @@ def run_network_scenario(
     # except for their battery billing, so each quiet run collapses
     # into one catch-up event and its ticks are dropped outright (ticks
     # never bill).  Billing batched this way commutes only while
-    # depletion is unreachable, hence the headroom precondition.
+    # depletion is unreachable, hence the headroom precondition, and
+    # while no low-charge watch can fire on the reordered draws.
     elide = (
         quiet_elision
         and outcomes is not None
         and not injector.active
+        and not watch_low
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
     active: dict[int, list[tuple[float, float]]] = {}

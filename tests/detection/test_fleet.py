@@ -159,6 +159,45 @@ class TestFleetDetectorEquivalence:
             want[m.node_id] = reports
         assert got == want
 
+    @pytest.mark.parametrize("init_windows", [1, 3])
+    def test_row_reset_matches_node_reset(self, init_windows):
+        # Resetting rows mid-walk (a cold restart) must equal calling
+        # NodeDetector.reset on the same nodes: each re-seeds from its
+        # next init_windows windows and detects identically afterwards.
+        # Resets land on a seeded row, on a row still buffering its
+        # init windows, and twice on the same row.
+        cfg = NodeDetectorConfig(
+            m=1.5, af_threshold=0.4, init_windows=init_windows
+        )
+        members = make_members(5)
+        a = make_streams(5, 3000, seed=31)
+        starts = window_starts(cfg, a.shape[1])
+        resets = {1: [2], 6: [0, 3], 9: [3], 20: [1, 4]}
+        fleet = FleetDetector(members, cfg)
+        detectors = [
+            NodeDetector(m.node_id, m.position, cfg, row=m.row, column=m.column)
+            for m in members
+        ]
+        got: dict[int, list] = {m.node_id: [] for m in members}
+        want: dict[int, list] = {m.node_id: [] for m in members}
+        for k, start in enumerate(starts):
+            t0 = start / cfg.rate_hz
+            if k in resets:
+                fleet.reset(resets[k])
+                for i in resets[k]:
+                    detectors[i].reset()
+            window = a[:, start : start + cfg.window_samples]
+            for i, report in enumerate(fleet.step(window, [t0] * 5)):
+                if report is not None:
+                    got[members[i].node_id].append(report)
+            for i, det in enumerate(detectors):
+                report = det.process_window(window[i], t0)
+                if report is not None:
+                    want[members[i].node_id].append(report)
+            assert fleet.seeded.tolist() == [d.initialized for d in detectors]
+        assert got == want
+        assert any(got.values())
+
     def test_single_node_fleet(self):
         cfg = NodeDetectorConfig()
         members = make_members(1)

@@ -15,6 +15,7 @@ from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
 from repro.faults.plan import FaultPlan
 from repro.network.nodeproc import RetransmitPolicy
+from repro.network.selfheal import SelfHealingConfig
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_ship
@@ -104,3 +105,36 @@ class TestElisionPreconditions:
         fast = _run(quiet_elision=True, faults=plan)
         full = _run(quiet_elision=False, faults=plan)
         assert scenario_digest(fast) == scenario_digest(full)
+
+
+class TestElisionUnderHealing:
+    @staticmethod
+    def _events(quiet_elision, **kwargs):
+        tel = Telemetry.memory()
+        result = _run(quiet_elision=quiet_elision, telemetry=tel, **kwargs)
+        executed = tel.metrics.counter("scheduler.events_executed").value
+        return scenario_digest(result), executed
+
+    def test_healed_run_without_plan_elides_bit_identically(self):
+        # Healed runs take the fleet precompute, so with no fault plan
+        # the event diet engages for them too.
+        healing = SelfHealingConfig()
+        fast, fast_events = self._events(True, healing=healing)
+        full, full_events = self._events(False, healing=healing)
+        assert fast == full
+        assert fast_events < full_events
+
+    def test_low_charge_watch_declines_elision(self):
+        # The demotion watch fires on cumulative draws, which batched
+        # catch-up billing reorders: elision must stay off (the 10 J
+        # battery crosses the 90 % watermark mid-run).
+        healing = SelfHealingConfig(demote_battery_fraction=0.9)
+        mote = MoteConfig(battery_capacity_j=10.0)
+        fast, fast_events = self._events(
+            True, healing=healing, mote_config=mote
+        )
+        full, full_events = self._events(
+            False, healing=healing, mote_config=mote
+        )
+        assert fast == full
+        assert fast_events == full_events

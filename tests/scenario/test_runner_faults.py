@@ -17,6 +17,7 @@ from repro.faults.plan import (
     SensorFaultKind,
 )
 from repro.scenario.deployment import GridDeployment
+from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
@@ -131,6 +132,20 @@ class TestNodeCrashes:
         assert res.fault_stats["node_crashes"] == 2
         assert res.faults_injected >= 2
         assert res.mac_stats["transmissions"] > 0
+
+
+    def test_crash_on_a_down_node_matches_reference(self):
+        # Node 4's second crash lands while it is still down, so the
+        # injector ignores it and never schedules its reboot: node 4 is
+        # back at 70 s.  The fleet precompute must mask exactly the
+        # windows the event loop skips, not the ignored crash's outage.
+        plan = FaultPlan(
+            node_crashes=(NodeCrash(4, 30.0, 40.0), NodeCrash(4, 50.0, 80.0))
+        )
+        fleet, _ = _run(faults=plan, detection_engine="fleet")
+        reference, _ = _run(faults=plan, detection_engine="reference")
+        assert fleet.fault_stats["node_crashes"] == 1
+        assert scenario_digest(fleet) == scenario_digest(reference)
 
 
 class TestSensorFaultsAtRunnerLevel:
