@@ -39,7 +39,9 @@ from repro.scenario.presets import (
     paper_ship,
 )
 from repro.scenario.ship import ShipTrack
-from repro.scenario.runner import run_offline_scenario
+# Sweeps call the runner's halves through the module, so patching the
+# runner (tracing, call-count tests) sees them too.
+from repro.scenario import runner as scenario_runner
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
@@ -309,17 +311,20 @@ class Fig11Point:
         return self.true_positives / total
 
 
-def fig11_cell(
-    m: float,
-    af: float,
+def fig11_seed_cell(
     seed: int,
+    m_values: Sequence[float],
+    af_values: Sequence[float],
     seed_offset: int = 0,
     eval_half_window_s: float = 60.0,
-) -> tuple[int, int]:
-    """One Fig. 11 trial: ``(true_positives, false_positives)``.
+) -> list[tuple[int, int]]:
+    """One Fig. 11 seed: ``(true_positives, false_positives)`` per (M, af).
 
-    Module-level (and fully determined by its arguments) so sweeps can
-    dispatch it through :class:`~repro.parallel.SweepRunner` workers.
+    The traces depend only on ``seed + seed_offset``, so the seed's
+    scenario is synthesised once and every (M, af) pair — in
+    ``m_values``-major order — is detected over it.  Module-level (and
+    fully determined by its arguments) so sweeps can dispatch it
+    through :class:`~repro.parallel.SweepRunner` workers.
     """
     dep = paper_deployment(seed=seed + seed_offset)
     # Out-and-back testing runs, as in the paper's trials.
@@ -332,36 +337,37 @@ def fig11_cell(
     )
     ships = [outbound, inbound]
     synth = SynthesisConfig(duration_s=400.0)
-    nuisances = _heavy_nuisances(
-        dep, synth, seed=seed + seed_offset + 7919
-    )
-    res = run_offline_scenario(
+    nuisances = _heavy_nuisances(dep, synth, seed=seed + seed_offset + 7919)
+    traces = scenario_runner.synthesize_fleet_traces(
         dep,
         ships,
-        detector_config=NodeDetectorConfig(m=m, af_threshold=af),
-        synthesis_config=synth,
+        synth,
         disturbances_by_node=nuisances,
         seed=(seed + seed_offset) * 100,
     )
     cross_times = [s.time_at_point(dep.center()) for s in ships]
-    tp = fp = 0
-    for nid, reps in res.merged_by_node.items():
-        near = [
-            r
-            for r in reps
-            if any(
-                abs(r.onset_time - ct) < eval_half_window_s
-                for ct in cross_times
-            )
-        ]
-        ca = classify_alarms(
-            near,
-            res.truth_windows_by_node[nid],
-            tolerance_s=3.0,
-        )
-        tp += ca.true_positives
-        fp += ca.false_positives
-    return tp, fp
+    cells: list[tuple[int, int]] = []
+    for m in m_values:
+        for af in af_values:
+            det_cfg = NodeDetectorConfig(m=m, af_threshold=af)
+            res = scenario_runner.detect_and_fuse(dep, traces, ships, det_cfg)
+            tp = fp = 0
+            for nid, reps in res.merged_by_node.items():
+                near = [
+                    r
+                    for r in reps
+                    if any(
+                        abs(r.onset_time - ct) < eval_half_window_s
+                        for ct in cross_times
+                    )
+                ]
+                ca = classify_alarms(
+                    near, res.truth_windows_by_node[nid], tolerance_s=3.0
+                )
+                tp += ca.true_positives
+                fp += ca.false_positives
+            cells.append((tp, fp))
+    return cells
 
 
 def run_fig11_detection_ratio(
@@ -380,39 +386,35 @@ def run_fig11_detection_ratio(
     wake-model ground truth.  Expected shape: ratio increases with af
     and with M; M = 2 at af = 0.6 exceeds 70 %.
 
-    Every (M, af, seed) cell is independent, so the grid is dispatched
-    through ``runner`` (default: a serial
-    :class:`~repro.parallel.SweepRunner`) — results are bit-identical
-    for any worker count.
+    Each seed is one independent cell (:func:`fig11_seed_cell`: one
+    synthesis, every (M, af) scored over it), dispatched through
+    ``runner`` (default: a serial :class:`~repro.parallel.SweepRunner`)
+    — results are bit-identical for any worker count.
     """
     from repro.parallel import SweepRunner
 
     if runner is None:
         runner = SweepRunner()
-    combos = [
-        (m, af, seed)
-        for m in m_values
-        for af in af_values
-        for seed in seeds
-    ]
-    cells = runner.map(
-        fig11_cell,
+    grid = [(m, af) for m in m_values for af in af_values]
+    per_seed = runner.map(
+        fig11_seed_cell,
         [
             {
-                "m": float(m),
-                "af": float(af),
                 "seed": int(seed),
+                "m_values": tuple(float(m) for m in m_values),
+                "af_values": tuple(float(af) for af in af_values),
                 "seed_offset": int(seed_offset),
                 "eval_half_window_s": float(eval_half_window_s),
             }
-            for m, af, seed in combos
+            for seed in seeds
         ],
     )
     totals: dict[tuple[float, float], list[int]] = {}
-    for (m, af, _), (tp, fp) in zip(combos, cells):
-        agg = totals.setdefault((m, af), [0, 0])
-        agg[0] += tp
-        agg[1] += fp
+    for cells in per_seed:
+        for (m, af), (tp, fp) in zip(grid, cells):
+            agg = totals.setdefault((m, af), [0, 0])
+            agg[0] += tp
+            agg[1] += fp
     return [
         Fig11Point(
             m=m,
@@ -449,74 +451,93 @@ def run_correlation_table(
     """
     if af_threshold is None:
         af_threshold = 0.4 if with_ship else 0.3
-    matrix: list[list[float]] = []
+    trials = [
+        _correlation_trial(
+            with_ship, seed, speed, m_values, af_threshold, row_counts
+        )
+        for seed in seeds
+        for speed in (speeds_knots if with_ship else (10.0,))
+    ]
+    # Per M, then per row count: C averaged over the trials in order.
+    return [
+        [float(np.mean([c for _, _, c in cells])) for cells in zip(*per_m)]
+        for per_m in zip(*trials)
+    ]
+
+
+def _correlation_trial(
+    with_ship: bool,
+    seed: int,
+    speed_knots: float,
+    m_values: Sequence[float],
+    af_threshold: float,
+    row_counts: Sequence[int],
+) -> list[list[tuple[float, float, float]]]:
+    """One Table I/II trial, scored for every M.
+
+    Synthesises the (seed, speed) scenario once, then per M detects
+    over it and returns ``cluster_correlation``'s ``(CNt, CNe, C)`` for
+    each row count: per node the highest-energy report near the pass,
+    one side of the test line kept per row.  The traces are released
+    on return, so a sweep holds one trace set at a time.
+    """
+    dep = paper_deployment(seed=seed)
+    ship = paper_ship(dep, speed_knots=speed_knots)
+    track = ship.travel_line()
+    ships = [ship] if with_ship else []
+    synth = SynthesisConfig(duration_s=400.0)
+    nuisances = (
+        None
+        if with_ship
+        else random_disturbances(
+            dep,
+            synth,
+            gusts_per_node_hour=1.0,
+            bumps_per_node_hour=0.5,
+            seed=seed + 999,
+        )
+    )
+    traces = scenario_runner.synthesize_fleet_traces(
+        dep,
+        ships,
+        synth,
+        disturbances_by_node=nuisances,
+        seed=seed * 100 + int(speed_knots),
+    )
+    center = ship.time_at_point(dep.center()) if with_ship else synth.duration_s / 2.0
+    out: list[list[tuple[float, float, float]]] = []
     for m in m_values:
-        samples: dict[int, list[float]] = {k: [] for k in row_counts}
-        for seed in seeds:
-            run_speeds = speeds_knots if with_ship else (10.0,)
-            for speed in run_speeds:
-                dep = paper_deployment(seed=seed)
-                ship = paper_ship(dep, speed_knots=speed)
-                track = ship.travel_line()
-                synth = SynthesisConfig(duration_s=400.0)
-                nuisances = (
-                    None
-                    if with_ship
-                    else random_disturbances(
-                        dep,
-                        synth,
-                        gusts_per_node_hour=1.0,
-                        bumps_per_node_hour=0.5,
-                        seed=seed + 999,
+        res = scenario_runner.detect_and_fuse(
+            dep,
+            traces,
+            ships,
+            detector_config=NodeDetectorConfig(m=m, af_threshold=af_threshold),
+            track_hypothesis=track,
+        )
+        # One run scores every requested row count: the row set is a
+        # scoring choice, not a deployment choice.
+        per_row_obs: list[list[RowObservation]] = []
+        for r in range(max(row_counts)):
+            obs: list[RowObservation] = []
+            for node in dep.row_nodes(r):
+                best = _best_report_per_node(
+                    res.merged_by_node[node.node_id], center, 80.0
+                )
+                if best is None:
+                    continue
+                signed = track.signed_distance(node.anchor)
+                obs.append(
+                    RowObservation(
+                        node_id=node.node_id,
+                        distance_to_track=abs(signed),
+                        onset_time=best.onset_time,
+                        energy=best.energy,
+                        side=1 if signed >= 0 else -1,
                     )
                 )
-                res = run_offline_scenario(
-                    dep,
-                    [ship] if with_ship else [],
-                    detector_config=NodeDetectorConfig(
-                        m=m, af_threshold=af_threshold
-                    ),
-                    synthesis_config=synth,
-                    disturbances_by_node=nuisances,
-                    track_hypothesis=track,
-                    seed=seed * 100 + int(speed),
-                )
-                center = (
-                    ship.time_at_point(dep.center())
-                    if with_ship
-                    else synth.duration_s / 2.0
-                )
-                # One run scores every requested row count: the row set
-                # is a scoring choice, not a deployment choice.
-                per_row_obs: list[list[RowObservation]] = []
-                for r in range(max(row_counts)):
-                    obs: list[RowObservation] = []
-                    for node in dep.row_nodes(r):
-                        best = _best_report_per_node(
-                            res.merged_by_node[node.node_id],
-                            center,
-                            80.0,
-                        )
-                        if best is None:
-                            continue
-                        signed = track.signed_distance(node.anchor)
-                        obs.append(
-                            RowObservation(
-                                node_id=node.node_id,
-                                distance_to_track=abs(signed),
-                                onset_time=best.onset_time,
-                                energy=best.energy,
-                                side=1 if signed >= 0 else -1,
-                            )
-                        )
-                    per_row_obs.append(majority_side(obs))
-                for n_rows in row_counts:
-                    _, _, c = cluster_correlation(per_row_obs[:n_rows])
-                    samples[n_rows].append(c)
-        matrix.append(
-            [float(np.mean(samples[n_rows])) for n_rows in row_counts]
-        )
-    return matrix
+            per_row_obs.append(majority_side(obs))
+        out.append([cluster_correlation(per_row_obs[:k]) for k in row_counts])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +615,7 @@ def _one_speed_trial(
     )
     track = ship.travel_line()
     synth = SynthesisConfig(duration_s=300.0)
-    res = run_offline_scenario(
+    res = scenario_runner.run_offline_scenario(
         dep,
         [ship],
         detector_config=NodeDetectorConfig(
@@ -718,61 +739,13 @@ def run_correlation_components(
     as either factor alone.
     """
     af = 0.4 if with_ship else 0.3
-    cnts, cnes, cs = [], [], []
-    for seed in seeds:
-        speeds = (10.0, 16.0) if with_ship else (10.0,)
-        for speed in speeds:
-            dep = paper_deployment(seed=seed)
-            ship = paper_ship(dep, speed_knots=speed)
-            track = ship.travel_line()
-            synth = SynthesisConfig(duration_s=400.0)
-            nuisances = (
-                None
-                if with_ship
-                else random_disturbances(
-                    dep,
-                    synth,
-                    gusts_per_node_hour=1.0,
-                    bumps_per_node_hour=0.5,
-                    seed=seed + 999,
-                )
-            )
-            res = run_offline_scenario(
-                dep,
-                [ship] if with_ship else [],
-                detector_config=NodeDetectorConfig(m=m, af_threshold=af),
-                synthesis_config=synth,
-                disturbances_by_node=nuisances,
-                track_hypothesis=track,
-                seed=seed * 100 + int(speed),
-            )
-            center = (
-                ship.time_at_point(dep.center()) if with_ship else 200.0
-            )
-            rows: list[list[RowObservation]] = []
-            for r in range(n_rows):
-                obs: list[RowObservation] = []
-                for node in dep.row_nodes(r):
-                    best = _best_report_per_node(
-                        res.merged_by_node[node.node_id], center, 80.0
-                    )
-                    if best is None:
-                        continue
-                    signed = track.signed_distance(node.anchor)
-                    obs.append(
-                        RowObservation(
-                            node_id=node.node_id,
-                            distance_to_track=abs(signed),
-                            onset_time=best.onset_time,
-                            energy=best.energy,
-                            side=1 if signed >= 0 else -1,
-                        )
-                    )
-                rows.append(majority_side(obs))
-            cnt, cne, c = cluster_correlation(rows)
-            cnts.append(cnt)
-            cnes.append(cne)
-            cs.append(c)
+    cnts, cnes, cs = zip(
+        *(
+            _correlation_trial(with_ship, seed, speed, (m,), af, (n_rows,))[0][0]
+            for seed in seeds
+            for speed in ((10.0, 16.0) if with_ship else (10.0,))
+        )
+    )
     return {
         "time_only": float(np.mean(cnts)),
         "energy_only": float(np.mean(cnes)),
@@ -787,17 +760,18 @@ def run_cluster_size_ablation(
 ) -> list[dict[str, float]]:
     """Cluster reliability vs number of cooperating rows (Sec. V-B).
 
-    For each row count, measures the ship-confirmation rate (C >= 0.4
-    with a crossing) and the false-confirmation rate (C >= 0.4 with no
-    ship, lowered threshold).  The paper's claim: >= 4 rows suffice.
+    For each row count, reports the mean C with a crossing and with no
+    ship (lowered threshold), their margin, and whether the ship mean
+    clears the decision threshold (C >= 0.4).  The paper's claim:
+    >= 4 rows suffice.
     """
     from repro.constants import CORRELATION_DECISION_THRESHOLD
 
     matrix_ship = run_correlation_table(
         True, (m,), row_counts, seeds=seeds
     )[0]
-    # Per-trial hit rates need the raw samples; recompute cheaply using
-    # the mean as a proxy plus explicit trials for the hit rate.
+    # Only the per-row-count mean C is reported; ``clears_threshold``
+    # compares that mean (not per-trial hits) with the threshold.
     results = []
     for k, mean_c in zip(row_counts, matrix_ship):
         results.append(

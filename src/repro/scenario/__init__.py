@@ -33,6 +33,7 @@ from repro.scenario.runner import (
     DutyCycledScenarioResult,
     NetworkScenarioResult,
     OfflineScenarioResult,
+    detect_and_fuse,
     run_dutycycled_scenario,
     run_network_scenario,
     run_offline_scenario,
@@ -69,6 +70,7 @@ __all__ = [
     "StreamingFleetSynthesizer",
     "SynthesisConfig",
     "classify_alarms",
+    "detect_and_fuse",
     "detect_on_trace",
     "detection_radius_m",
     "detection_ratio",

@@ -184,24 +184,29 @@ def fuse_sequential_clusters(
     return outcomes, cluster_event, cluster_report
 
 
-def run_offline_scenario(
+def detect_and_fuse(
     deployment: GridDeployment,
+    traces: dict[int, AccelTrace],
     ships: Sequence[ShipTrack] = (),
     detector_config: NodeDetectorConfig | None = None,
     cluster_config: TemporaryClusterConfig | None = None,
-    synthesis_config: SynthesisConfig | None = None,
-    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     track_hypothesis: TravelLine | None = None,
     keep_traces: bool = False,
-    seed: RandomState = None,
     detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
 ) -> OfflineScenarioResult:
-    """Synthesise, detect, and fuse one scenario without a radio.
+    """Detect and fuse over already-synthesised traces, without a radio.
 
-    ``track_hypothesis`` defaults to the first ship's ground-truth
-    line (the controlled setting of Tables I/II); pass an explicit
-    hypothesis for no-ship runs.
+    The second half of :func:`run_offline_scenario`: node-level
+    detection over ``traces`` (one per deployed node), then sequential
+    temporary-cluster fusion.  ``traces`` and ``deployment`` are only
+    read, so a sweep can synthesise once and score many detector
+    configurations over the same traces.
+
+    ``ships`` supply the ground-truth windows and, when
+    ``track_hypothesis`` is ``None``, the default hypothesis: the first
+    ship's line (the controlled setting of Tables I/II); pass an
+    explicit hypothesis for no-ship runs.
 
     ``detection_engine`` selects the lockstep-vectorized ``"fleet"``
     walk (the default; bit-identical to the per-node reference) or the
@@ -209,9 +214,9 @@ def run_offline_scenario(
     to the reference when the traces do not share one sample grid.
 
     ``telemetry`` (optional) traces detection events and profiles the
-    synthesis/detection/fusion stages; ``None`` — the default — keeps
-    the run free of any instrumentation overhead and bit-identical to
-    a run before telemetry existed.
+    detection/fusion stages; ``None`` — the default — keeps the run
+    free of any instrumentation overhead and bit-identical to a run
+    before telemetry existed.
     """
     if detection_engine not in ("fleet", "reference"):
         raise ConfigurationError(
@@ -219,16 +224,7 @@ def run_offline_scenario(
             f"got {detection_engine!r}"
         )
     tracer = telemetry.tracer if telemetry is not None else None
-    synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
-        traces = synthesize_fleet_traces(
-            deployment,
-            ships,
-            synth,
-            disturbances_by_node=disturbances_by_node,
-            seed=seed,
-        )
     with maybe_stage(telemetry, "detection"):
         reports_by_node: dict[int, list[NodeReport]] | None = None
         if detection_engine == "fleet":
@@ -272,6 +268,49 @@ def run_offline_scenario(
         cluster_report=cluster_report,
         truth_windows_by_node=truth_windows_for(deployment, ships),
         traces=traces if keep_traces else {},
+    )
+
+
+def run_offline_scenario(
+    deployment: GridDeployment,
+    ships: Sequence[ShipTrack] = (),
+    detector_config: NodeDetectorConfig | None = None,
+    cluster_config: TemporaryClusterConfig | None = None,
+    synthesis_config: SynthesisConfig | None = None,
+    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
+    track_hypothesis: TravelLine | None = None,
+    keep_traces: bool = False,
+    seed: RandomState = None,
+    detection_engine: str = "fleet",
+    telemetry: Optional[Telemetry] = None,
+) -> OfflineScenarioResult:
+    """Synthesise, detect, and fuse one scenario without a radio.
+
+    :func:`synthesize_fleet_traces` (``seed`` feeds it alone) followed
+    by :func:`detect_and_fuse`, which documents the other parameters;
+    ``telemetry`` also profiles the synthesis stage.  Sweeps over
+    detection parameters call the two halves themselves, synthesising
+    once per trace-determining input rather than once per setting.
+    """
+    synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
+    with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
+        traces = synthesize_fleet_traces(
+            deployment,
+            ships,
+            synth,
+            disturbances_by_node=disturbances_by_node,
+            seed=seed,
+        )
+    return detect_and_fuse(
+        deployment,
+        traces,
+        ships,
+        detector_config=detector_config,
+        cluster_config=cluster_config,
+        track_hypothesis=track_hypothesis,
+        keep_traces=keep_traces,
+        detection_engine=detection_engine,
+        telemetry=telemetry,
     )
 
 
