@@ -27,7 +27,7 @@ with peak memory O(nodes x chunk) instead of O(nodes x duration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.telemetry.tracer import Tracer
 from repro.types import Position
 
 if TYPE_CHECKING:
-    from repro.scenario.deployment import GridDeployment
+    from repro.scenario.deployment import DeployedNode
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,14 @@ class FleetDetector:
     @classmethod
     def from_deployment(
         cls,
-        deployment: GridDeployment,
+        nodes: Iterable[DeployedNode],
         config: NodeDetectorConfig | None = None,
     ) -> "FleetDetector":
-        """One row per deployed node, in deployment iteration order."""
+        """One row per deployed node, in iteration order.
+
+        ``nodes`` is a whole deployment or any subset of its nodes (one
+        sample-grid group, say).
+        """
         return cls(
             [
                 FleetMember(
@@ -104,7 +108,7 @@ class FleetDetector:
                     row=node.row,
                     column=node.column,
                 )
-                for node in deployment
+                for node in nodes
             ],
             config,
         )
@@ -310,18 +314,12 @@ class FleetDetector:
     # Whole-stream walk
     # ------------------------------------------------------------------
     def process_samples(
-        self,
-        a: np.ndarray,
-        t0s: Sequence[float],
-        active_windows: np.ndarray | None = None,
+        self, a: np.ndarray, t0s: Sequence[float]
     ) -> dict[int, list[NodeReport]]:
         """Walk an ``(nodes, samples)`` preprocessed matrix in lockstep.
 
         ``t0s`` holds each row's stream start time (rows may have
-        different clock offsets); ``active_windows`` optionally masks
-        individual ``(row, window_index)`` evaluations — a masked-out
-        window leaves that row's state untouched, mirroring a skipped
-        ``feed_window``.  Returns reports keyed by node id.
+        different clock offsets).  Returns reports keyed by node id.
         """
         a = np.asarray(a, dtype=float)
         n = len(self.members)
@@ -334,25 +332,13 @@ class FleetDetector:
             raise SignalLengthError(
                 f"need at least one window ({w} samples), got {a.shape[1]}"
             )
-        starts = window_starts(self.config, a.shape[1])
-        if active_windows is not None:
-            active_windows = np.asarray(active_windows, dtype=bool)
-            if active_windows.shape != (n, len(starts)):
-                raise ConfigurationError(
-                    f"active_windows must be ({n}, {len(starts)}), "
-                    f"got {active_windows.shape}"
-                )
         rate = self.config.rate_hz
         reports: dict[int, list[NodeReport]] = {
             m.node_id: [] for m in self.members
         }
-        for k, start in enumerate(starts):
+        for start in window_starts(self.config, a.shape[1]):
             window_t0s = [float(t0) + start / rate for t0 in t0s]
-            step_reports = self.step(
-                a[:, start : start + w],
-                window_t0s,
-                active=None if active_windows is None else active_windows[:, k],
-            )
+            step_reports = self.step(a[:, start : start + w], window_t0s)
             for i, report in enumerate(step_reports):
                 if report is not None:
                     reports[self.members[i].node_id].append(report)

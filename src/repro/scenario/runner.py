@@ -1,4 +1,4 @@
-"""Scenario execution: offline (radio-less) and fully networked.
+"""Scenario execution: offline (radio-less), fully networked, duty-cycled.
 
 ``run_offline_scenario`` is the controlled-experiment path used by the
 Table I / Table II / Fig. 11 benchmarks: every node's trace is
@@ -10,6 +10,10 @@ radio losses.
 discrete-event stack (flooded cluster setup, lossy member reports,
 multihop delivery to the sink) — the configuration the ablation
 benchmarks stress.
+
+Node-level detection is local to each buoy, so every runner evaluates
+it with the lockstep :class:`FleetDetector`; only the duty-cycled runner
+keeps a sequential walk, for inputs its group walk cannot take.
 """
 
 from __future__ import annotations
@@ -122,31 +126,45 @@ def truth_windows_for(
     return out
 
 
+def _grid_groups(
+    deployment: GridDeployment, traces: dict[int, AccelTrace]
+) -> list[tuple[list[DeployedNode], np.ndarray]]:
+    """Nodes grouped by sample-grid shape, each with its stacked z counts.
+
+    Detector rows never interact, so each group can run its own lockstep
+    :class:`FleetDetector`.  Groups keep deployment order.
+    """
+    groups: dict[tuple[int, ...], list[DeployedNode]] = {}
+    for node in deployment:
+        groups.setdefault(np.shape(traces[node.node_id].z), []).append(node)
+    return [
+        (nodes, np.stack([np.asarray(traces[n.node_id].z) for n in nodes]))
+        for nodes in groups.values()
+    ]
+
+
 def _fleet_offline_reports(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
     tracer: Optional[Tracer] = None,
-) -> dict[int, list[NodeReport]] | None:
-    """Whole-fleet lockstep detection over a shared sample grid.
+) -> tuple[dict[int, list[NodeReport]], int]:
+    """Lockstep fleet detection per grid group: (reports, group count).
 
-    Returns ``None`` when the traces cannot be stacked (ragged lengths
-    or shorter than one window); callers fall back to the per-node
-    reference walk, which reproduces the reference behaviour including
-    its error paths.
+    A trace shorter than one window raises ``SignalLengthError``.
     """
-    nodes = list(deployment)
-    zs = [np.asarray(traces[n.node_id].z) for n in nodes]
-    if len({z.shape for z in zs}) != 1:
-        return None
-    if zs[0].size < det_cfg.window_samples:
-        return None
-    a = preprocess_z_counts_batch(np.stack(zs), det_cfg.preprocess)
-    fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    fleet.tracer = tracer
-    return fleet.process_samples(
-        a, [traces[n.node_id].t0 for n in nodes]
-    )
+    reports: dict[int, list[NodeReport]] = {n.node_id: [] for n in deployment}
+    groups = _grid_groups(deployment, traces)
+    for nodes, z in groups:
+        fleet = FleetDetector.from_deployment(nodes, det_cfg)
+        fleet.tracer = tracer
+        reports.update(
+            fleet.process_samples(
+                preprocess_z_counts_batch(z, det_cfg.preprocess),
+                [traces[n.node_id].t0 for n in nodes],
+            )
+        )
+    return reports, len(groups)
 
 
 def fuse_sequential_clusters(
@@ -184,6 +202,41 @@ def fuse_sequential_clusters(
     return outcomes, cluster_event, cluster_report
 
 
+def _fuse_offline(
+    deployment: GridDeployment,
+    ships: Sequence[ShipTrack],
+    reports_by_node: dict[int, list[NodeReport]],
+    cluster_config: TemporaryClusterConfig | None,
+    track_hypothesis: TravelLine | None,
+    telemetry: Optional[Telemetry],
+    traces: dict[int, AccelTrace],
+) -> OfflineScenarioResult:
+    """Merge, fuse and score node reports (the offline runners' tail)."""
+    merged_by_node = {
+        nid: merge_reports(reports)
+        for nid, reports in reports_by_node.items()
+    }
+    merged_all = sorted(
+        (r for rs in merged_by_node.values() for r in rs),
+        key=lambda r: r.onset_time,
+    )
+    if track_hypothesis is None and ships:
+        track_hypothesis = ships[0].travel_line()
+    with maybe_stage(telemetry, "fusion"):
+        outcomes, cluster_event, cluster_report = fuse_sequential_clusters(
+            merged_all, cluster_config, track_hypothesis
+        )
+    return OfflineScenarioResult(
+        cluster_outcomes=outcomes,
+        reports_by_node=reports_by_node,
+        merged_by_node=merged_by_node,
+        cluster_event=cluster_event,
+        cluster_report=cluster_report,
+        truth_windows_by_node=truth_windows_for(deployment, ships),
+        traces=traces,
+    )
+
+
 def detect_and_fuse(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
@@ -192,7 +245,6 @@ def detect_and_fuse(
     cluster_config: TemporaryClusterConfig | None = None,
     track_hypothesis: TravelLine | None = None,
     keep_traces: bool = False,
-    detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
 ) -> OfflineScenarioResult:
     """Detect and fuse over already-synthesised traces, without a radio.
@@ -208,65 +260,33 @@ def detect_and_fuse(
     ship's line (the controlled setting of Tables I/II); pass an
     explicit hypothesis for no-ship runs.
 
-    ``detection_engine`` selects the lockstep-vectorized ``"fleet"``
-    walk (the default; bit-identical to the per-node reference) or the
-    per-node ``"reference"`` loop.  The fleet path silently falls back
-    to the reference when the traces do not share one sample grid.
+    Detection is the lockstep fleet walk, one :class:`FleetDetector`
+    per group of nodes sharing a sample grid (a ragged fleet simply
+    runs several groups).
 
     ``telemetry`` (optional) traces detection events and profiles the
-    detection/fusion stages; ``None`` — the default — keeps the run
-    free of any instrumentation overhead and bit-identical to a run
-    before telemetry existed.
+    detection/fusion stages (the ``detection`` span records
+    ``fleet_groups``); ``None`` — the default — keeps the run free of
+    any instrumentation overhead and bit-identical to a run before
+    telemetry existed.
     """
-    if detection_engine not in ("fleet", "reference"):
-        raise ConfigurationError(
-            f"detection_engine must be 'fleet' or 'reference', "
-            f"got {detection_engine!r}"
-        )
-    tracer = telemetry.tracer if telemetry is not None else None
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "detection"):
-        reports_by_node: dict[int, list[NodeReport]] | None = None
-        if detection_engine == "fleet":
-            reports_by_node = _fleet_offline_reports(
-                deployment, traces, det_cfg, tracer=tracer
-            )
-        if reports_by_node is None:
-            reports_by_node = {}
-            for node in deployment:
-                detector = NodeDetector(
-                    node.node_id,
-                    node.anchor,
-                    det_cfg,
-                    row=node.row,
-                    column=node.column,
-                )
-                reports_by_node[node.node_id] = detector.process_trace(
-                    traces[node.node_id]
-                )
-    merged_by_node = {
-        nid: merge_reports(reports)
-        for nid, reports in reports_by_node.items()
-    }
-
-    merged_all = sorted(
-        (r for rs in merged_by_node.values() for r in rs),
-        key=lambda r: r.onset_time,
-    )
-    if track_hypothesis is None and ships:
-        track_hypothesis = ships[0].travel_line()
-    with maybe_stage(telemetry, "fusion"):
-        outcomes, cluster_event, cluster_report = fuse_sequential_clusters(
-            merged_all, cluster_config, track_hypothesis
+    with maybe_stage(telemetry, "detection") as span:
+        reports_by_node, n_groups = _fleet_offline_reports(
+            deployment,
+            traces,
+            det_cfg,
+            tracer=telemetry.tracer if telemetry is not None else None,
         )
-
-    return OfflineScenarioResult(
-        cluster_outcomes=outcomes,
-        reports_by_node=reports_by_node,
-        merged_by_node=merged_by_node,
-        cluster_event=cluster_event,
-        cluster_report=cluster_report,
-        truth_windows_by_node=truth_windows_for(deployment, ships),
+        if span is not None:
+            span.set(fleet_groups=n_groups)
+    return _fuse_offline(
+        deployment,
+        ships,
+        reports_by_node,
+        cluster_config,
+        track_hypothesis,
+        telemetry,
         traces=traces if keep_traces else {},
     )
 
@@ -281,7 +301,6 @@ def run_offline_scenario(
     track_hypothesis: TravelLine | None = None,
     keep_traces: bool = False,
     seed: RandomState = None,
-    detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
 ) -> OfflineScenarioResult:
     """Synthesise, detect, and fuse one scenario without a radio.
@@ -309,7 +328,6 @@ def run_offline_scenario(
         cluster_config=cluster_config,
         track_hypothesis=track_hypothesis,
         keep_traces=keep_traces,
-        detection_engine=detection_engine,
         telemetry=telemetry,
     )
 
@@ -420,13 +438,14 @@ def _fleet_network_outcomes(
     faults: FaultPlan | None,
     now: float,
     cold_restarts: bool,
-) -> dict[int, list[tuple[int, Optional[NodeReport], bool]]] | None:
+) -> tuple[dict[int, list[tuple[int, Optional[NodeReport], bool]]], int]:
     """Precompute every node's window outcomes for the event loop.
 
     Detection is purely local (no radio feedback reaches eqs. 4-8), so
     the whole fleet's Delta-t walk can run vectorized before the
-    discrete-event simulation starts.  The run-time influences on a
-    node's detector state are all fixed by the fault plan up front:
+    discrete-event simulation starts, one lockstep group per sample
+    grid.  The run-time influences on a node's detector state are all
+    fixed by the fault plan up front:
 
     * a *skipped* window — a crashed node's ``feed_window`` returns
       before touching the detector — so the walk masks out exactly the
@@ -440,60 +459,55 @@ def _fleet_network_outcomes(
     observably identical.)
 
     Returns ``{node_id: [(start, report-or-None, seeded_after)]}`` with
-    one entry per *evaluated* window, or ``None`` when the traces do
-    not share one sample grid (callers fall back to the reference
-    per-node scheduling).
+    one entry per *evaluated* window, and the number of grid groups.
     """
-    nodes = list(deployment)
-    zs = [np.asarray(traces[n.node_id].z) for n in nodes]
-    if len({z.shape for z in zs}) != 1:
-        return None
     out: dict[int, list[tuple[int, Optional[NodeReport], bool]]] = {
-        n.node_id: [] for n in nodes
+        n.node_id: [] for n in deployment
     }
-    starts = window_starts(det_cfg, zs[0].size)
-    if not starts:
-        return out
+    outages = _effective_crashes(faults, list(out), now)
     rate = det_cfg.rate_hz
     w = det_cfg.window_samples
-    # Window start/end times, (nodes, windows), with the event loop's
-    # own float arithmetic: t_start = t0 + start / rate, t_end = t_start
-    # + w / rate.
-    t_starts = (
-        np.array([float(traces[n.node_id].t0) for n in nodes])[:, None]
-        + (np.asarray(starts) / rate)[None, :]
-    )
-    t_ends = t_starts + w / rate
-    # A window is skipped iff its end time falls inside [crash, reboot]
-    # (both ends inclusive): the crash event is scheduled at install
-    # time, before the feed events, so it pops first on a time tie; the
-    # reboot event is scheduled during the run, after the feeds, so the
-    # feed at the reboot instant still sees a dead node.
-    active = np.ones(t_ends.shape, dtype=bool)
-    resets: dict[int, list[int]] = {}
-    outages = _effective_crashes(faults, [n.node_id for n in nodes], now)
-    for i, node in enumerate(nodes):
-        for lo, hi in outages[node.node_id]:
-            active[i] &= (t_ends[i] < lo) | (t_ends[i] > hi)
-            if cold_restarts and hi < math.inf:
-                k = int(np.searchsorted(t_ends[i], hi, side="right"))
-                resets.setdefault(k, []).append(i)
-    a = preprocess_z_counts_batch(np.stack(zs), det_cfg.preprocess)
-    fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    rows: list[list[tuple[int, Optional[NodeReport], bool]]] = [
-        out[n.node_id] for n in nodes
-    ]
-    for k, start in enumerate(starts):
-        if k in resets:
-            fleet.reset(resets[k])
-        act = active[:, k]
-        reports = fleet.step(
-            a[:, start : start + w], t_starts[:, k].tolist(), active=act
+    groups = _grid_groups(deployment, traces)
+    for nodes, z in groups:
+        starts = window_starts(det_cfg, z.shape[1])
+        if not starts:
+            continue
+        # Window start/end times, (nodes, windows), with the event
+        # loop's own float arithmetic: t_start = t0 + start / rate,
+        # t_end = t_start + w / rate.
+        t_starts = (
+            np.array([float(traces[n.node_id].t0) for n in nodes])[:, None]
+            + (np.asarray(starts) / rate)[None, :]
         )
-        seeded = fleet.seeded.tolist()
-        for i in np.flatnonzero(act).tolist():
-            rows[i].append((start, reports[i], seeded[i]))
-    return out
+        t_ends = t_starts + w / rate
+        # A window is skipped iff its end time falls inside [crash,
+        # reboot] (both ends inclusive): the crash event is scheduled at
+        # install time, before the feed events, so it pops first on a
+        # time tie; the reboot event is scheduled during the run, after
+        # the feeds, so the feed at the reboot instant still sees a dead
+        # node.
+        active = np.ones(t_ends.shape, dtype=bool)
+        resets: dict[int, list[int]] = {}
+        for i, node in enumerate(nodes):
+            for lo, hi in outages[node.node_id]:
+                active[i] &= (t_ends[i] < lo) | (t_ends[i] > hi)
+                if cold_restarts and hi < math.inf:
+                    k = int(np.searchsorted(t_ends[i], hi, side="right"))
+                    resets.setdefault(k, []).append(i)
+        a = preprocess_z_counts_batch(z, det_cfg.preprocess)
+        fleet = FleetDetector.from_deployment(nodes, det_cfg)
+        rows = [out[n.node_id] for n in nodes]
+        for k, start in enumerate(starts):
+            if k in resets:
+                fleet.reset(resets[k])
+            act = active[:, k]
+            reports = fleet.step(
+                a[:, start : start + w], t_starts[:, k].tolist(), active=act
+            )
+            seeded = fleet.seeded.tolist()
+            for i in np.flatnonzero(act).tolist():
+                rows[i].append((start, reports[i], seeded[i]))
+    return out, len(groups)
 
 
 def _head_active_intervals(
@@ -616,16 +630,17 @@ def run_network_scenario(
     healing: SelfHealingConfig | None = None,
     resync_interval_s: float | None = 120.0,
     seed: RandomState = None,
-    detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
     quiet_elision: bool = True,
     sanitizer: Optional[Sanitizer] = None,
 ) -> NetworkScenarioResult:
     """Run one scenario through the full network stack.
 
-    Every node preprocesses its own synthesised trace and feeds
-    Delta-t windows into its SID state machine at the window end times;
-    protocol traffic rides the lossy simulated radio.
+    Every node's synthesised trace is preprocessed and its Delta-t
+    windows are evaluated up front by the lockstep fleet engine (one
+    group per sample grid; detection is local, so this is exact); the
+    outcomes replay into each node's SID state machine at the window
+    end times, and protocol traffic rides the lossy simulated radio.
 
     ``faults`` injects the plan's sensor / node / network pathologies
     into the run; an absent or empty plan leaves every code path — and
@@ -641,33 +656,26 @@ def run_network_scenario(
     pre-healing transport.  A cold restart resets a node's eq. 5
     baseline at its reboot, and the plan fixes every reboot time before
     the run starts, so the fleet precompute resets the node's detector
-    row at the same point and healed runs keep the fleet engine.
+    row at the same point.
 
     ``resync_interval_s`` schedules a periodic fleet-wide time-sync
     beacon (None disables it); crashed nodes miss their beacons and a
     plan's :class:`~repro.faults.plan.ClockSyncFailure` suppresses
     them per node, letting drift accumulate unbounded.
 
-    ``detection_engine`` selects how per-window detection runs:
-    ``"fleet"`` (default) precomputes every window outcome with the
-    lockstep-vectorized engine and replays them through the event loop
-    (bit-identical to the reference, including planned crash windows
-    and cold restarts);
-    ``"reference"`` feeds raw windows into each node's own detector at
-    event time.
-
     ``telemetry`` (optional) traces the run end to end — frame
     tx/rx/drop, heal/fault/detection events, profiling spans — and
-    mirrors the terminal counters into its metrics registry.  ``None``
+    mirrors the terminal counters into its metrics registry (the
+    ``detection_precompute`` span records ``fleet_groups``).  ``None``
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
-    ``quiet_elision`` (default True) lets the fleet-engine path skip
-    scheduling provably-no-op window feeds and timer ticks during
-    radio-quiet stretches, coalescing their battery billing into
-    batched catch-up events with arithmetically identical draws.  It
-    only ever engages when the precompute ran, no fault plan is active
-    and no low-charge watch is armed, and the result is bit-identical
+    ``quiet_elision`` (default True) skips scheduling provably-no-op
+    window feeds and timer ticks during radio-quiet stretches,
+    coalescing their battery billing into batched catch-up events with
+    arithmetically identical draws.  It only ever engages when no fault
+    plan is active and no low-charge watch is armed, and the result is
+    bit-identical
     either way; set it False to force the one-event-per-window schedule
     (the benchmarks' reference arm does).
 
@@ -680,11 +688,6 @@ def run_network_scenario(
     sanitized run is digest-identical to an unsanitized one; call
     ``sanitizer.report()`` after the run for the findings.
     """
-    if detection_engine not in ("fleet", "reference"):
-        raise ConfigurationError(
-            f"detection_engine must be 'fleet' or 'reference', "
-            f"got {detection_engine!r}"
-        )
     tracer = telemetry.tracer if telemetry is not None else None
     base = make_rng(seed)
     root = int(base.integers(2**31))
@@ -768,24 +771,22 @@ def run_network_scenario(
     # reboot times.  Its FleetDetector stays untraced: its alarms replay
     # through each SIDNode at event time, which is where they are
     # emitted (tracing both would double-count every alarm).
-    if detection_engine == "fleet":
-        with maybe_stage(telemetry, "detection_precompute"):
-            outcomes = _fleet_network_outcomes(
-                deployment,
-                traces,
-                cfg.detector,
-                faults,
-                network.sim.now,
-                cold_restarts=(
-                    healing is not None and not healing.persist_baseline
-                ),
-            )
-    else:
-        outcomes = None
-    # Quiet-tick elision: with the fleet engine and no fault plan, the
-    # precompute tells us every moment each node can originate protocol
-    # traffic — and thereby every stretch in which it could head an
-    # open cluster.  Outside its own guarded intervals a node's
+    with maybe_stage(telemetry, "detection_precompute") as span:
+        outcomes, n_groups = _fleet_network_outcomes(
+            deployment,
+            traces,
+            cfg.detector,
+            faults,
+            network.sim.now,
+            cold_restarts=(
+                healing is not None and not healing.persist_baseline
+            ),
+        )
+        if span is not None:
+            span.set(fleet_groups=n_groups)
+    # Quiet-tick elision: with no fault plan, the precompute tells us
+    # every moment each node can originate protocol traffic — and
+    # thereby every stretch in which it could head an open cluster.  Outside its own guarded intervals a node's
     # report-less window feeds and timer ticks are provably no-ops
     # except for their battery billing, so each quiet run collapses
     # into one catch-up event and its ticks are dropped outright (ticks
@@ -794,13 +795,12 @@ def run_network_scenario(
     # while no low-charge watch can fire on the reordered draws.
     elide = (
         quiet_elision
-        and outcomes is not None
         and not injector.active
         and not watch_low
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
     active: dict[int, list[tuple[float, float]]] = {}
-    if elide and outcomes is not None:
+    if elide:
         active = _head_active_intervals(
             outcomes,
             traces,
@@ -831,68 +831,51 @@ def run_network_scenario(
         trace = traces[node.node_id]
         if sanitizer is not None:
             sanitizer.track_node(proc)
-        if outcomes is not None:
-            # Replay the precomputed outcomes at the same window end
-            # times the reference schedules its feeds (a masked-out
-            # crash window schedules nothing — its reference feed
-            # would have fired as a no-op on a dead node).
-            intervals = active.get(node.node_id, [])
-            cursor = [0]
-            quiet_n = 0
-            quiet_last = 0.0
-            for start, report, seeded in outcomes[node.node_id]:
-                t_start = trace.t0 + start / cfg.detector.rate_hz
-                t_end = t_start + window / cfg.detector.rate_hz
-                if (
-                    elide
-                    and report is None
-                    and not _in_active(t_end, intervals, cursor)
-                ):
-                    quiet_n += 1
-                    quiet_last = t_end
-                    continue
-                if quiet_n:
-                    network.sim.schedule_at(
-                        quiet_last,
-                        proc.catch_up_quiet_windows,
-                        quiet_n,
-                        window,
-                    )
-                    quiet_n = 0
-                network.sim.schedule_at(
-                    t_end,
-                    proc.feed_outcome,
-                    report,
-                    window,
-                    t_start,
-                    seeded,
-                )
+        # Replay the precomputed outcomes at their window end times (a
+        # masked-out crash window schedules nothing — its feed would
+        # have fired as a no-op on a dead node).
+        intervals = active.get(node.node_id, [])
+        cursor = [0]
+        quiet_n = 0
+        quiet_last = 0.0
+        for start, report, seeded in outcomes[node.node_id]:
+            t_start = trace.t0 + start / cfg.detector.rate_hz
+            t_end = t_start + window / cfg.detector.rate_hz
+            if (
+                elide
+                and report is None
+                and not _in_active(t_end, intervals, cursor)
+            ):
+                quiet_n += 1
+                quiet_last = t_end
+                continue
             if quiet_n:
                 network.sim.schedule_at(
-                    quiet_last, proc.catch_up_quiet_windows, quiet_n, window
+                    quiet_last,
+                    proc.catch_up_quiet_windows,
+                    quiet_n,
+                    window,
                 )
-        else:
-            a = preprocess_z_counts(trace.z, cfg.detector.preprocess)
-            starts = window_starts(cfg.detector, len(a))
-            for start in starts:
-                seg = a[start : start + window]
-                t_start = trace.t0 + start / cfg.detector.rate_hz
-                t_end = t_start + window / cfg.detector.rate_hz
-                network.sim.schedule_at(
-                    t_end, proc.feed_window, seg, t_start
-                )
-        if sanitizer is not None and proc.battery is not None:
-            n_billable = (
-                len(outcomes[node.node_id])
-                if outcomes is not None
-                else len(starts)
+                quiet_n = 0
+            network.sim.schedule_at(
+                t_end,
+                proc.feed_outcome,
+                report,
+                window,
+                t_start,
+                seeded,
             )
+        if quiet_n:
+            network.sim.schedule_at(
+                quiet_last, proc.catch_up_quiet_windows, quiet_n, window
+            )
+        if sanitizer is not None and proc.battery is not None:
             # Declared billing intent: each window bills draw_cpu
             # seconds of 0.001*window, so the per-window joule amount
             # replicates Battery.draw_cpu's op order bit-exactly.
             sanitizer.expect_cpu_billing(
                 node.node_id,
-                n_billable,
+                len(outcomes[node.node_id]),
                 (0.001 * window) * proc.battery.costs.cpu_j_per_s,
                 strict=not injector.active,
             )
@@ -1032,27 +1015,19 @@ def _dutycycled_fleet_reports(
     coarse_cfg: NodeDetectorConfig,
     decimation: int,
     controller: "DutyCycleController",
-) -> tuple[dict[int, list[NodeReport]], Optional[float]] | None:
+) -> tuple[dict[int, list[NodeReport]], Optional[float]]:
     """Group-vectorized duty-cycled walk (one fleet step per window).
 
-    Valid only when every trace shares one sample grid *and* the
-    wake-up latency is positive: an alarm raised inside a window group
-    then cannot retroactively activate other rows of the same group
-    (its wake interval starts at ``onset + latency > t0``), so the
-    active/wakeup masks for a group can be computed up front and the
-    per-row branch replayed vectorized.  Returns ``None`` when the
-    preconditions fail; callers fall back to the sequential reference.
+    Valid only when every trace shares one sample grid and ``t0``, the
+    wake-up latency is positive and no battery model runs: an alarm
+    raised inside a window group then cannot retroactively activate
+    other rows of the same group (its wake interval starts at
+    ``onset + latency > t0``), so the active/wakeup masks for a group
+    can be computed up front and the per-row branch replayed
+    vectorized.
     """
-    nodes = list(deployment)
-    if controller.config.wakeup_latency_s <= 0:
-        return None
-    if len({traces[n.node_id].t0 for n in nodes}) != 1:
-        return None
-    zs = [np.asarray(traces[n.node_id].z) for n in nodes]
-    if len({z.shape for z in zs}) != 1:
-        return None
+    [(nodes, Z)] = _grid_groups(deployment, traces)
     t_base = float(traces[nodes[0].node_id].t0)
-    Z = np.stack(zs)
     pre = preprocess_z_counts_batch(Z, det_cfg.preprocess)
     coarse_pre = preprocess_z_counts_batch(
         Z[:, ::decimation], coarse_cfg.preprocess
@@ -1064,7 +1039,7 @@ def _dutycycled_fleet_reports(
     n = len(nodes)
     rate = det_cfg.rate_hz
     # Within a group rows replay in ascending node id — the order the
-    # reference's (t0, node_id, start) schedule visits them.
+    # sequential walk's (t0, node_id, start) schedule visits them.
     order = sorted(range(n), key=lambda i: nodes[i].node_id)
     reports_by_node: dict[int, list[NodeReport]] = {
         n_.node_id: [] for n_ in nodes
@@ -1089,7 +1064,7 @@ def _dutycycled_fleet_reports(
         coarse_branch = active & ~wake
         if c_seg.shape[1] < coarse_window:
             # Sentinels skip a short trailing coarse segment (the
-            # reference's ``c_seg.size < coarse_window`` continue).
+            # sequential walk's ``c_seg.size < coarse_window`` continue).
             coarse_branch[:] = False
         fine_mask = init_rows | fine_branch
         coarse_mask = init_rows | coarse_branch
@@ -1118,113 +1093,21 @@ def _dutycycled_fleet_reports(
     return reports_by_node, first_alarm
 
 
-def run_dutycycled_scenario(
+def _dutycycled_sequential_reports(
     deployment: GridDeployment,
-    ships: Sequence[ShipTrack] = (),
-    detector_config: NodeDetectorConfig | None = None,
-    duty_config: "DutyCycleConfig | None" = None,
-    synthesis_config: SynthesisConfig | None = None,
-    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
-    faults: FaultPlan | None = None,
-    seed: RandomState = None,
-    detection_engine: str = "fleet",
-    telemetry: Optional[Telemetry] = None,
-) -> DutyCycledScenarioResult:
-    """Run the Sec. IV-A sentinel/wake-up policy over one scenario.
+    traces: dict[int, AccelTrace],
+    det_cfg: NodeDetectorConfig,
+    coarse_cfg: NodeDetectorConfig,
+    decimation: int,
+    controller: "DutyCycleController",
+    faults: FaultPlan | None,
+) -> tuple[dict[int, list[NodeReport]], Optional[float]]:
+    """Per-window duty-cycled walk in global ``(t0, node_id)`` order.
 
-    Nodes only evaluate detection windows while active; the first
-    sentinel alarm wakes the whole fleet after the configured latency,
-    so most nodes sleep through quiet water yet still catch the ship.
-    Windows are processed in global time order so an alarm at t can
-    wake other nodes for their windows after t.
-
-    ``faults`` (only :class:`~repro.faults.plan.BatteryDrain` entries
-    apply here) turns on battery accounting: every evaluated window
-    bills its sampling energy, drains accelerate at their onset, a
-    depleted node skips its windows, and — when
-    ``DutyCycleConfig.demote_battery_fraction`` is set — a node whose
-    charge crosses the watermark is permanently demoted to coarse
-    sentinel duty.  ``faults=None`` (the default) bills nothing and
-    stays bit-identical to the pre-fault runner.
-
-    ``detection_engine="fleet"`` (default) advances the whole fleet one
-    window group at a time with the vectorized engine — bit-identical
-    to the sequential reference whenever the wake-up latency is
-    positive and all traces share one sample grid (it falls back to
-    the reference otherwise); ``"reference"`` forces the sequential
-    per-window loop.
-
-    ``telemetry`` (optional) traces duty-cycle policy activity —
-    fleet wake-ups and sentinel demotions — and records profiling
-    spans; ``None`` (the default) adds nothing to the run.
+    Runs the battery model of an active fault plan; also takes zero
+    wake-up latency and traces without one shared ``t0`` and grid.
     """
-    from dataclasses import replace
-
-    from repro.detection.dutycycle import DutyCycleController
-
-    if detection_engine not in ("fleet", "reference"):
-        raise ConfigurationError(
-            f"detection_engine must be 'fleet' or 'reference', "
-            f"got {detection_engine!r}"
-        )
-
-    synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
-    det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
-        traces = synthesize_fleet_traces(
-            deployment,
-            ships,
-            synth,
-            disturbances_by_node=disturbances_by_node,
-            seed=seed,
-        )
-    controller = DutyCycleController(
-        [n.node_id for n in deployment],
-        duty_config,
-        tracer=telemetry.tracer if telemetry is not None else None,
-    )
-    # Sentinels run a coarse (decimated) detection; the wake-up raises
-    # the rate back to full (Sec. IV-A).  Coarse detection keeps its own
-    # detector instances because the baseline statistics are
-    # rate-specific.
-    coarse_hz = controller.config.coarse_rate_hz
-    decimation = (
-        max(int(round(det_cfg.rate_hz / coarse_hz)), 1)
-        if coarse_hz is not None
-        else 1
-    )
-    coarse_cfg = (
-        replace(
-            det_cfg,
-            rate_hz=det_cfg.rate_hz / decimation,
-            preprocess=replace(
-                det_cfg.preprocess,
-                rate_hz=det_cfg.preprocess.rate_hz / decimation,
-            ),
-        )
-        if decimation > 1
-        else det_cfg
-    )
     plan_active = faults is not None and faults.active
-    # The group-vectorized walk has no battery model; faulted runs take
-    # the sequential reference loop, which bills and demotes per window.
-    if detection_engine == "fleet" and not plan_active:
-        with maybe_stage(telemetry, "detection"):
-            fleet_result = _dutycycled_fleet_reports(
-                deployment, traces, det_cfg, coarse_cfg, decimation, controller
-            )
-        if fleet_result is not None:
-            reports_by_node, first_alarm = fleet_result
-            return DutyCycledScenarioResult(
-                reports_by_node=reports_by_node,
-                merged_by_node={
-                    nid: merge_reports(reports)
-                    for nid, reports in reports_by_node.items()
-                },
-                controller=controller,
-                first_alarm_time=first_alarm,
-                truth_windows_by_node=truth_windows_for(deployment, ships),
-            )
     detectors = {
         n.node_id: NodeDetector(
             n.node_id, n.anchor, det_cfg, row=n.row, column=n.column
@@ -1263,7 +1146,7 @@ def run_dutycycled_scenario(
     # Battery model (faulted runs only): pending drains sorted by
     # onset, per-window sampling bills, and watermark demotion.
     pending_drains: dict[int, list[BatteryDrain]] = {}
-    if plan_active:
+    if faults is not None and plan_active:
         for drain in faults.battery_drains:
             pending_drains.setdefault(drain.node_id, []).append(drain)
         for drains in pending_drains.values():
@@ -1325,6 +1208,103 @@ def run_dutycycled_scenario(
             controller.alarm(report.onset_time)
             if first_alarm is None:
                 first_alarm = report.onset_time
+    return reports_by_node, first_alarm
+
+
+def run_dutycycled_scenario(
+    deployment: GridDeployment,
+    ships: Sequence[ShipTrack] = (),
+    detector_config: NodeDetectorConfig | None = None,
+    duty_config: "DutyCycleConfig | None" = None,
+    synthesis_config: SynthesisConfig | None = None,
+    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
+    faults: FaultPlan | None = None,
+    seed: RandomState = None,
+    telemetry: Optional[Telemetry] = None,
+) -> DutyCycledScenarioResult:
+    """Run the Sec. IV-A sentinel/wake-up policy over one scenario.
+
+    Nodes only evaluate detection windows while active; the first
+    sentinel alarm wakes the whole fleet after the configured latency,
+    so most nodes sleep through quiet water yet still catch the ship.
+    Windows are processed in global time order so an alarm at t can
+    wake other nodes for their windows after t.
+
+    ``faults`` (only :class:`~repro.faults.plan.BatteryDrain` entries
+    apply here) turns on battery accounting: every evaluated window
+    bills its sampling energy, drains accelerate at their onset, a
+    depleted node skips its windows, and — when
+    ``DutyCycleConfig.demote_battery_fraction`` is set — a node whose
+    charge crosses the watermark is permanently demoted to coarse
+    sentinel duty.  ``faults=None`` (the default) bills nothing and
+    stays bit-identical to the pre-fault runner.
+
+    The whole fleet advances one window group at a time with the
+    vectorized engine.  The inputs alone decide when it cannot: an
+    active fault plan, ``wakeup_latency_s == 0`` or traces without one
+    shared ``t0`` and sample grid take the sequential per-window walk,
+    with the same results.
+
+    ``telemetry`` (optional) traces duty-cycle policy activity —
+    fleet wake-ups and sentinel demotions — and records profiling
+    spans (the ``detection`` span records the ``walk`` taken and the
+    reason the group walk was ``declined``); ``None`` (the default)
+    adds nothing to the run.
+    """
+    from repro.detection.dutycycle import DutyCycleController
+
+    synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
+    det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
+    with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
+        traces = synthesize_fleet_traces(
+            deployment,
+            ships,
+            synth,
+            disturbances_by_node=disturbances_by_node,
+            seed=seed,
+        )
+    controller = DutyCycleController(
+        [n.node_id for n in deployment],
+        duty_config,
+        tracer=telemetry.tracer if telemetry is not None else None,
+    )
+    # Sentinels run a coarse (decimated) detection; the wake-up raises
+    # the rate back to full (Sec. IV-A).  Coarse detection keeps its own
+    # detector instances because the baseline statistics are
+    # rate-specific.
+    coarse_hz = controller.config.coarse_rate_hz
+    decimation = (
+        max(int(round(det_cfg.rate_hz / coarse_hz)), 1)
+        if coarse_hz is not None
+        else 1
+    )
+    coarse_cfg = (
+        replace(
+            det_cfg,
+            rate_hz=det_cfg.rate_hz / decimation,
+            preprocess=replace(
+                det_cfg.preprocess,
+                rate_hz=det_cfg.preprocess.rate_hz / decimation,
+            ),
+        )
+        if decimation > 1
+        else det_cfg
+    )
+    declined: Optional[str] = None
+    if faults is not None and faults.active:
+        declined = "fault_plan"
+    elif controller.config.wakeup_latency_s <= 0:
+        declined = "zero_latency"
+    elif len({(tr.t0, np.shape(tr.z)) for tr in traces.values()}) != 1:
+        declined = "grid"
+    walk = "fleet" if declined is None else "sequential"
+    with maybe_stage(telemetry, "detection", walk=walk, declined=declined):
+        args = (deployment, traces, det_cfg, coarse_cfg, decimation, controller)
+        reports_by_node, first_alarm = (
+            _dutycycled_fleet_reports(*args)
+            if declined is None
+            else _dutycycled_sequential_reports(*args, faults)
+        )
     return DutyCycledScenarioResult(
         reports_by_node=reports_by_node,
         merged_by_node={

@@ -45,7 +45,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.detection.fleet import FleetDetector
-from repro.detection.node_detector import NodeDetectorConfig, merge_reports
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.preprocess import (
     STREAMABLE_FILTER_KINDS,
     StreamingPreprocessor,
@@ -54,11 +54,7 @@ from repro.errors import ConfigurationError
 from repro.physics.disturbance import Disturbance, render_disturbances
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.runner import (
-    OfflineScenarioResult,
-    fuse_sequential_clusters,
-    truth_windows_for,
-)
+from repro.scenario.runner import OfflineScenarioResult, _fuse_offline
 from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import (
     SynthesisConfig,
@@ -273,48 +269,30 @@ def run_streaming_scenario(
         fleet.tracer = telemetry.tracer
     stream = fleet.stream(source.t0s)
     chunk_samples = max(int(round(chunk_s * det_cfg.rate_hz)), 1)
-    if telemetry is None:
-        for z_chunk in source.chunks(chunk_samples):
-            stream.push(pre.push(z_chunk))
-    else:
-        # Instrumented walk: one profiling span per streaming stage per
-        # chunk.  The arithmetic is identical to the untraced loop.
-        chunk_index = 0
-        while True:
-            with telemetry.stage(
-                "synthesize_chunk",
-                chunk=chunk_index,
-                method=synth.synthesis_method,
-            ):
-                z_chunk = source.next_chunk(chunk_samples)
-            if z_chunk is None:
-                break
-            with telemetry.stage("preprocess_chunk", chunk=chunk_index):
-                a_chunk = pre.push(z_chunk)
-            with telemetry.stage("detect_chunk", chunk=chunk_index):
-                stream.push(a_chunk)
-            chunk_index += 1
-    reports_by_node = stream.finish()
-    merged_by_node = {
-        nid: merge_reports(reports)
-        for nid, reports in reports_by_node.items()
-    }
-    merged_all = sorted(
-        (r for rs in merged_by_node.values() for r in rs),
-        key=lambda r: r.onset_time,
-    )
-    if track_hypothesis is None and ships:
-        track_hypothesis = ships[0].travel_line()
-    with maybe_stage(telemetry, "fusion"):
-        outcomes, cluster_event, cluster_report = fuse_sequential_clusters(
-            merged_all, cluster_config, track_hypothesis
-        )
-    return OfflineScenarioResult(
-        cluster_outcomes=outcomes,
-        reports_by_node=reports_by_node,
-        merged_by_node=merged_by_node,
-        cluster_event=cluster_event,
-        cluster_report=cluster_report,
-        truth_windows_by_node=truth_windows_for(deployment, ships),
+    # One profiling span per streaming stage per chunk when telemetry
+    # is on; maybe_stage is a free no-op otherwise.
+    chunk_index = 0
+    while True:
+        with maybe_stage(
+            telemetry,
+            "synthesize_chunk",
+            chunk=chunk_index,
+            method=synth.synthesis_method,
+        ):
+            z_chunk = source.next_chunk(chunk_samples)
+        if z_chunk is None:
+            break
+        with maybe_stage(telemetry, "preprocess_chunk", chunk=chunk_index):
+            a_chunk = pre.push(z_chunk)
+        with maybe_stage(telemetry, "detect_chunk", chunk=chunk_index):
+            stream.push(a_chunk)
+        chunk_index += 1
+    return _fuse_offline(
+        deployment,
+        ships,
+        stream.finish(),
+        cluster_config,
+        track_hypothesis,
+        telemetry,
         traces={},
     )

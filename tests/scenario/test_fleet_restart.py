@@ -3,11 +3,11 @@
 ``run_network_scenario`` precomputes every window outcome with the
 fleet engine even when self-healing is armed: crash masks and cold
 restart resets are derived from the fault plan before the run starts.
-The per-node ``detection_engine="reference"`` path is the oracle —
-every case here demands bit-identical digests, on plans built to hit
-the event loop's edge cases (a crash on a node that is already down, a
-crash at the same instant as that node's reboot, a crash that never
-reboots).
+The event-time per-node walk (``tests.scenario.oracles``) is the
+oracle — every case here demands bit-identical digests, on plans built
+to hit the event loop's edge cases (a crash on a node that is already
+down, a crash at the same instant as that node's reboot, a crash that
+never reboots).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
 from repro.telemetry import Telemetry
 
+from tests.scenario.oracles import reference_network
 from tests.scenario.test_golden_digest import _scenario
 
 #: Node 4 crashes again while still down from its first crash: the
@@ -66,9 +67,9 @@ HEALING = {
 }
 
 
-def _run_small(engine, plan, healing, mote_config, seed):
+def _run_small(run, plan, healing, mote_config, seed):
     dep = GridDeployment(3, 4, seed=31, mote_config=mote_config)
-    return run_network_scenario(
+    return run(
         dep,
         [paper_ship(dep, cross_time_s=90.0)],
         sid_config=SIDNodeConfig(
@@ -80,7 +81,6 @@ def _run_small(engine, plan, healing, mote_config, seed):
         healing=healing,
         resync_interval_s=40.0,
         seed=seed,
-        detection_engine=engine,
     )
 
 
@@ -91,8 +91,8 @@ class TestFleetMatchesReference:
     def test_digest_equal(self, heal_name, plan_name, seed):
         healing, mote_config = HEALING[heal_name]
         plan = PLANS[plan_name]
-        fleet = _run_small("fleet", plan, healing, mote_config, seed)
-        reference = _run_small("reference", plan, healing, mote_config, seed)
+        fleet = _run_small(run_network_scenario, plan, healing, mote_config, seed)
+        reference = _run_small(reference_network, plan, healing, mote_config, seed)
         assert scenario_digest(fleet) == scenario_digest(reference)
 
     def test_matrix_exercises_restarts_and_demotion(self):
@@ -100,11 +100,13 @@ class TestFleetMatchesReference:
         # the cold-restart cases re-warm baselines, the demotion case
         # demotes.
         healing, mote_config = HEALING["cold_restart"]
-        res = _run_small("fleet", PLANS["same_instant"], healing, mote_config, 9)
+        res = _run_small(
+            run_network_scenario, PLANS["same_instant"], healing, mote_config, 9
+        )
         assert res.fault_stats["cold_restarts"] == 2
         assert res.fault_stats["baseline_blind_window_s"] > 0
         healing, mote_config = HEALING["demote"]
-        res = _run_small("fleet", None, healing, mote_config, 9)
+        res = _run_small(run_network_scenario, None, healing, mote_config, 9)
         assert res.fault_stats["sentinel_demotions"] > 0
 
 

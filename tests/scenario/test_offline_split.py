@@ -1,8 +1,8 @@
 """The offline runner is synthesis followed by detect-and-fuse.
 
 ``run_offline_scenario`` must equal ``synthesize_fleet_traces`` then
-``detect_and_fuse`` over the same inputs, on the lockstep fleet path and
-on the per-node fallback a ragged sample grid forces.  The sweeps in
+``detect_and_fuse`` over the same inputs, on one shared sample grid and
+on a ragged one, which runs as one lockstep group per grid.  The sweeps in
 ``repro.analysis.experiments`` rely on this to synthesise once and score
 many detector settings.
 """
@@ -62,9 +62,9 @@ def test_offline_runner_is_synthesis_then_detect_and_fuse(ragged):
 
     dep, ships = _setup(ragged)
     traces = synthesize_fleet_traces(dep, ships, synth, seed=SEED)
-    # The ragged grid must really take the per-node fallback.
-    stacked = _fleet_offline_reports(dep, traces, DETECTOR)
-    assert (stacked is None) == ragged
+    # The ragged grid must really run as two fleet groups.
+    _, n_groups = _fleet_offline_reports(dep, traces, DETECTOR)
+    assert n_groups == (2 if ragged else 1)
     split = detect_and_fuse(dep, traces, ships, detector_config=DETECTOR)
 
     assert any(whole.merged_by_node.values())

@@ -23,6 +23,8 @@ from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.accelerometer import Accelerometer
 
+from tests.scenario.oracles import reference_network
+
 
 def _setup(seed=31):
     dep = GridDeployment(3, 3, seed=seed)
@@ -38,10 +40,10 @@ def _cfg():
     )
 
 
-def _run(faults=None, seed=9, dep_seed=31, **kwargs):
+def _run(faults=None, seed=9, dep_seed=31, run=run_network_scenario, **kwargs):
     dep, ship, synth = _setup(seed=dep_seed)
     return (
-        run_network_scenario(
+        run(
             dep,
             [ship],
             sid_config=_cfg(),
@@ -142,8 +144,8 @@ class TestNodeCrashes:
         plan = FaultPlan(
             node_crashes=(NodeCrash(4, 30.0, 40.0), NodeCrash(4, 50.0, 80.0))
         )
-        fleet, _ = _run(faults=plan, detection_engine="fleet")
-        reference, _ = _run(faults=plan, detection_engine="reference")
+        fleet, _ = _run(faults=plan)
+        reference, _ = _run(faults=plan, run=reference_network)
         assert fleet.fault_stats["node_crashes"] == 1
         assert scenario_digest(fleet) == scenario_digest(reference)
 

@@ -1,9 +1,10 @@
 """Engine-parity and streaming-fusion tests for the scenario runners.
 
-Every runner that gained a ``detection_engine`` switch must produce
-*identical* results under ``"fleet"`` and ``"reference"``, and the
-streaming synthesis->detection path must reproduce the monolithic
-offline run report for report.
+The runners detect with the lockstep fleet engine only; each must
+produce *identical* results to the per-node reference oracles in
+``tests/scenario/oracles.py`` (the duty-cycled runner's two walks are
+compared directly), and the streaming synthesis->detection path must
+reproduce the monolithic offline run report for report.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.detection.dutycycle import DutyCycleConfig
+from repro.detection.dutycycle import DutyCycleConfig, DutyCycleController
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.scenario.presets import paper_scenario
 from repro.scenario.runner import (
+    _dutycycled_fleet_reports,
+    _dutycycled_sequential_reports,
     run_dutycycled_scenario,
     run_network_scenario,
     run_offline_scenario,
@@ -28,6 +31,9 @@ from repro.scenario.streaming import (
     run_streaming_scenario,
 )
 from repro.scenario.synthesis import synthesize_fleet_traces
+from repro.telemetry import Telemetry
+
+from tests.scenario.oracles import reference_network, reference_offline
 
 SEED = 23
 
@@ -49,16 +55,13 @@ class TestOfflineEngineParity:
             detector_config=_detector(),
             synthesis_config=synth1,
             seed=SEED,
-            detection_engine="fleet",
         )
         dep2, ship2, synth2 = _scenario()
-        b = run_offline_scenario(
+        b = reference_offline(
             dep2,
+            synthesize_fleet_traces(dep2, [ship2], synth2, seed=SEED),
             [ship2],
             detector_config=_detector(),
-            synthesis_config=synth2,
-            seed=SEED,
-            detection_engine="reference",
         )
         assert a.reports_by_node == b.reports_by_node
         assert a.merged_by_node == b.merged_by_node
@@ -66,31 +69,16 @@ class TestOfflineEngineParity:
         assert len(a.cluster_outcomes) == len(b.cluster_outcomes)
         assert sum(len(v) for v in a.reports_by_node.values()) > 0
 
-    def test_unknown_engine_rejected(self):
-        dep, ship, synth = _scenario()
-        with pytest.raises(ConfigurationError):
-            run_offline_scenario(
-                dep, [ship], synthesis_config=synth, detection_engine="gpu"
-            )
-
 
 class TestNetworkEngineParity:
     def test_fleet_matches_reference(self):
         dep1, ship1, synth1 = _scenario()
         a = run_network_scenario(
-            dep1,
-            [ship1],
-            synthesis_config=synth1,
-            seed=SEED,
-            detection_engine="fleet",
+            dep1, [ship1], synthesis_config=synth1, seed=SEED
         )
         dep2, ship2, synth2 = _scenario()
-        b = run_network_scenario(
-            dep2,
-            [ship2],
-            synthesis_config=synth2,
-            seed=SEED,
-            detection_engine="reference",
+        b = reference_network(
+            dep2, [ship2], synthesis_config=synth2, seed=SEED
         )
         assert a.decisions == b.decisions
         assert a.mac_stats == b.mac_stats
@@ -107,16 +95,15 @@ class TestNetworkEngineParity:
             )
         )
         results = []
-        for engine in ("fleet", "reference"):
+        for run in (run_network_scenario, reference_network):
             dep, ship, synth = _scenario()
             results.append(
-                run_network_scenario(
+                run(
                     dep,
                     [ship],
                     synthesis_config=synth,
                     faults=plan,
                     seed=SEED,
-                    detection_engine=engine,
                 )
             )
         a, b = results
@@ -125,12 +112,29 @@ class TestNetworkEngineParity:
         assert a.fault_stats == b.fault_stats
         assert a.sink_frames == b.sink_frames
 
-    def test_unknown_engine_rejected(self):
-        dep, ship, synth = _scenario()
-        with pytest.raises(ConfigurationError):
-            run_network_scenario(
-                dep, [ship], synthesis_config=synth, detection_engine="gpu"
-            )
+
+def _duty_walk(walk, duty, **extra):
+    """One duty-cycled walk over the parity scenario's traces.
+
+    Mirrors ``run_dutycycled_scenario``'s setup: the sentinels' coarse
+    detector runs at the full rate divided by the decimation factor.
+    """
+    dep, ship, synth = _scenario()
+    traces = synthesize_fleet_traces(dep, [ship], synth, seed=SEED)
+    det = NodeDetectorConfig()
+    controller = DutyCycleController([n.node_id for n in dep], duty)
+    coarse_hz = controller.config.coarse_rate_hz
+    decimation = (
+        max(int(round(det.rate_hz / coarse_hz)), 1) if coarse_hz else 1
+    )
+    coarse = replace(
+        det,
+        rate_hz=det.rate_hz / decimation,
+        preprocess=replace(
+            det.preprocess, rate_hz=det.preprocess.rate_hz / decimation
+        ),
+    )
+    return walk(dep, traces, det, coarse, decimation, controller, **extra)
 
 
 class TestDutyCycleEngineParity:
@@ -143,45 +147,39 @@ class TestDutyCycleEngineParity:
         ],
     )
     def test_fleet_matches_reference(self, duty):
-        results = []
-        for engine in ("fleet", "reference"):
-            dep, ship, synth = _scenario()
-            results.append(
-                run_dutycycled_scenario(
-                    dep,
-                    [ship],
-                    synthesis_config=synth,
-                    duty_config=duty,
-                    seed=SEED,
-                    detection_engine=engine,
-                )
-            )
-        a, b = results
-        assert a.reports_by_node == b.reports_by_node
-        assert a.merged_by_node == b.merged_by_node
-        assert a.first_alarm_time == b.first_alarm_time
+        fleet = _duty_walk(_dutycycled_fleet_reports, duty)
+        sequential = _duty_walk(
+            _dutycycled_sequential_reports, duty, faults=None
+        )
+        assert fleet == sequential
+        dep, ship, synth = _scenario()
+        result = run_dutycycled_scenario(
+            dep, [ship], synthesis_config=synth, duty_config=duty, seed=SEED
+        )
+        assert (result.reports_by_node, result.first_alarm_time) == fleet
 
     def test_zero_latency_falls_back_and_matches(self):
         # wakeup_latency_s == 0 cannot be group-vectorized (an alarm
-        # could activate a row of its own window group); the fleet
-        # engine must transparently fall back to the reference walk.
+        # could activate a row of its own window group); the runner
+        # must take the sequential walk, and say so.
         duty = DutyCycleConfig(wakeup_latency_s=0.0)
-        results = []
-        for engine in ("fleet", "reference"):
-            dep, ship, synth = _scenario()
-            results.append(
-                run_dutycycled_scenario(
-                    dep,
-                    [ship],
-                    synthesis_config=synth,
-                    duty_config=duty,
-                    seed=SEED,
-                    detection_engine=engine,
-                )
-            )
-        a, b = results
-        assert a.reports_by_node == b.reports_by_node
-        assert a.first_alarm_time == b.first_alarm_time
+        tel = Telemetry.memory()
+        dep, ship, synth = _scenario()
+        result = run_dutycycled_scenario(
+            dep,
+            [ship],
+            synthesis_config=synth,
+            duty_config=duty,
+            seed=SEED,
+            telemetry=tel,
+        )
+        span = next(e for e in tel.events if e.name == "detection")
+        assert span.field("walk") == "sequential"
+        assert span.field("declined") == "zero_latency"
+        sequential = _duty_walk(
+            _dutycycled_sequential_reports, duty, faults=None
+        )
+        assert (result.reports_by_node, result.first_alarm_time) == sequential
 
 
 class TestStreamingScenario:
