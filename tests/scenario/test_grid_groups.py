@@ -5,8 +5,8 @@ Nodes whose traces share one sample-grid shape form a lockstep
 rate runs as two groups.  Neither the offline nor the network runner may
 fall back to per-node ``NodeDetector.process_window`` calls for that,
 and both must still match the per-node oracles bit for bit.  The
-duty-cycled runner records which of its two walks ran and why (the
-zero-latency case is in ``test_streaming.py``).
+duty-cycled runner has one walk too: fault plans, ragged grids and zero
+wake-up latency all run as fleet groups.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.detection.cluster import TemporaryClusterConfig
+from repro.detection.dutycycle import DutyCycleConfig
 from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
 from repro.errors import SignalLengthError
@@ -142,7 +143,8 @@ def test_ragged_network_runs_two_groups_and_matches_oracle(
     assert scenario_digest(got) == scenario_digest(want)
 
 
-def _duty_run(faults=None, ragged=False):
+def _duty_groups(faults=None, ragged=False, latency=2.0):
+    """Fleet groups a duty-cycled run records on its ``detection`` span."""
     dep, ship, synth = paper_scenario(
         rows=3, columns=3, duration_s=120.0, seed=23
     )
@@ -153,21 +155,26 @@ def _duty_run(faults=None, ragged=False):
         dep,
         [ship],
         synthesis_config=synth,
+        duty_config=DutyCycleConfig(wakeup_latency_s=latency),
         faults=faults,
         seed=23,
         telemetry=tel,
     )
-    span = _span(tel, "detection")
-    return span.field("walk"), span.field("declined")
+    return _span(tel, "detection").field("fleet_groups")
 
 
-class TestDutyCycleWalkRecorded:
-    def test_group_walk(self):
-        assert _duty_run() == ("fleet", None)
+class TestDutyCycleWalkIsGrouped:
+    """Inputs the old sequential walk took now run as fleet groups."""
 
-    def test_fault_plan_declines(self):
+    def test_fault_plan(self, window_calls):
         plan = FaultPlan(battery_drains=(BatteryDrain(0, 10.0, 2.0),))
-        assert _duty_run(faults=plan) == ("sequential", "fault_plan")
+        assert _duty_groups(faults=plan) == 1
+        assert window_calls == []
 
-    def test_ragged_grid_declines(self):
-        assert _duty_run(ragged=True) == ("sequential", "grid")
+    def test_ragged_grid(self, window_calls):
+        assert _duty_groups(ragged=True) == 2
+        assert window_calls == []
+
+    def test_zero_latency(self, window_calls):
+        assert _duty_groups(latency=0.0) == 1
+        assert window_calls == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.scenario.runner as runner
 from repro.detection.cluster import TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
@@ -16,6 +17,7 @@ from repro.faults.plan import (
     SensorFault,
     SensorFaultKind,
 )
+from repro.network.selfheal import SelfHealingConfig
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_ship
@@ -89,6 +91,31 @@ class TestPeriodicResync:
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             _run(resync_interval_s=0.0)
+
+    def test_bad_interval_rejected_before_any_work(self, monkeypatch):
+        # The check runs first: no synthesis, and no low-charge watch
+        # left armed on the caller's batteries.
+        calls = []
+        original = runner.synthesize_fleet_traces
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "synthesize_fleet_traces", counting)
+        dep, ship, synth = _setup()
+        with pytest.raises(ConfigurationError, match="resync_interval_s"):
+            run_network_scenario(
+                dep,
+                [ship],
+                sid_config=_cfg(),
+                synthesis_config=synth,
+                healing=SelfHealingConfig(demote_battery_fraction=0.5),
+                resync_interval_s=0.0,
+                seed=9,
+            )
+        assert calls == []
+        assert all(node.mote.battery._low_watch is None for node in dep)
 
     def test_sync_failure_suppresses_and_drift_accumulates(self):
         dep, _, _ = _setup()
