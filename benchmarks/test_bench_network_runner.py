@@ -12,9 +12,9 @@ of the pre-rewrite simulator kept below as :class:`ReferenceSimulator`:
   on the old dataclass-entry heap.
 - **End-to-end runner**: a 64-node, event-loop-dominated scenario must
   finish at least ``MIN_RUNNER_SPEEDUP`` faster than the reference
-  simulator with elision off — with a bit-identical
-  :class:`NetworkScenarioResult` digest, so the speed never buys a
-  different answer.
+  simulator on the full schedule (``full_schedule``) — with a
+  bit-identical :class:`NetworkScenarioResult` digest, so the speed
+  never buys a different answer.
 
 Both arms are seeded; the digests make the equivalence part of the
 gate bit-reproducible.
@@ -37,6 +37,8 @@ from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
+
+from tests.scenario.oracles import full_schedule
 
 #: End-to-end floor: new scheduler + event diet vs reference simulator
 #: with the one-event-per-window schedule.  Measured ~2.4x on the dev
@@ -309,7 +311,7 @@ DURATION_S = 400.0
 SEED = 23
 
 
-def _runner_scenario(quiet_elision: bool):
+def _runner_scenario():
     dep = GridDeployment(N_SIDE, N_SIDE, seed=17)
     cfg = SIDNodeConfig(detector=NodeDetectorConfig(hop_s=0.2))
     return run_network_scenario(
@@ -320,7 +322,6 @@ def _runner_scenario(quiet_elision: bool):
             duration_s=DURATION_S, synthesis_method="spectral"
         ),
         seed=SEED,
-        quiet_elision=quiet_elision,
     )
 
 
@@ -332,19 +333,20 @@ def test_bench_network_runner_64(once, monkeypatch):
     def reference_arm():
         monkeypatch.setattr(nodeproc, "Simulator", ReferenceSimulator)
         try:
-            return _runner_scenario(quiet_elision=False)
+            with full_schedule():
+                return _runner_scenario()
         finally:
             monkeypatch.setattr(nodeproc, "Simulator", new_sim)
 
     # Warm both arms once (imports, numpy caches), then time.
-    fast_result = once(_runner_scenario, True)
+    fast_result = once(_runner_scenario)
     ref_result = reference_arm()
     assert scenario_digest(fast_result) == scenario_digest(ref_result), (
         "fast path diverged from the reference simulator run"
     )
     assert not fast_result.intrusion_detected
 
-    t_fast, _ = _best_of(_runner_scenario, True)
+    t_fast, _ = _best_of(_runner_scenario)
     t_ref, _ = _best_of(reference_arm)
     speedup = t_ref / t_fast
     print(

@@ -6,8 +6,8 @@ FFT; on the 64-node / 400 s workload the ambient kernel must be at
 least 5x faster than the shared-trig time-domain batch over the same
 snapped field (measured ~10x; the floor leaves room for FFT/BLAS and
 machine variance), and the end-to-end spectral fleet path must
-digitise counts bit-identical to ``"spectral_reference"`` (the same
-snapped field through the time-domain engine).
+digitise counts bit-identical to ``reference_spectral_synthesis`` (the
+same snapped field through the time-domain engine).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from repro.physics.wavefield import AmbientWaveField, SpectralGrid
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 
+from tests.scenario.oracles import reference_spectral_synthesis
+
 ROWS = COLUMNS = 8
 DURATION_S = 400.0
 SEED = 13
@@ -32,9 +34,9 @@ def _grid() -> GridDeployment:
     return GridDeployment(ROWS, COLUMNS, spacing_m=25.0, seed=DEPLOYMENT_SEED)
 
 
-def _fleet(method: str):
-    cfg = SynthesisConfig(duration_s=DURATION_S, synthesis_method=method)
-    return synthesize_fleet_traces(_grid(), config=cfg, seed=SEED)
+def _fleet(synthesize=synthesize_fleet_traces):
+    cfg = SynthesisConfig(duration_s=DURATION_S, synthesis_method="spectral")
+    return synthesize(_grid(), config=cfg, seed=SEED)
 
 
 def _best_of(fn, rounds: int = 5) -> float:
@@ -48,11 +50,11 @@ def _best_of(fn, rounds: int = 5) -> float:
 
 
 def test_bench_spectral_synthesis(once):
-    fleet = once(lambda: _fleet("spectral"))
+    fleet = once(_fleet)
 
     # Bit-identical digitised counts against the snapped time-domain
     # reference on every axis of every node.
-    reference = _fleet("spectral_reference")
+    reference = _fleet(reference_spectral_synthesis)
     assert len(fleet) == ROWS * COLUMNS
     assert all(
         np.array_equal(fleet[nid].z, reference[nid].z)

@@ -15,11 +15,14 @@ The node-side algorithm (paper Sec. IV-D) has four procedures:
   head when correlated, and compute the ship speed (eq. 16) when the
   four-node condition holds.
 
-:class:`SIDNode` is a *pure state machine*: it consumes sample windows
-and peer messages and returns :class:`SIDAction` values describing what
-the node wants transmitted.  Both the in-process scenario runner and
-the discrete-event network stack drive it, so protocol behaviour is
-identical with and without a lossy radio in between.
+:class:`SIDNode` is a *pure state machine*: it consumes window
+outcomes and peer messages and returns :class:`SIDAction` values
+describing what the node wants transmitted.  A window outcome is the
+eq. 4-8 result for one Delta-t window — a report or None, plus whether
+the baseline has seeded — which the fleet engine
+(:mod:`repro.detection.fleet`) computes for the whole deployment; the
+network stack replays each one at its window end time.  Detection is
+purely local, so the state machine needs nothing else from it.
 """
 
 from __future__ import annotations
@@ -28,15 +31,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.detection.cluster import (
     ClusterEvent,
     TemporaryCluster,
     TemporaryClusterConfig,
     TravelLine,
 )
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import ClusterReport, NodeReport
 from repro.errors import InternalError, ProtocolError
 from repro.telemetry.events import CAT_DETECTION
@@ -110,34 +111,35 @@ class SIDNodeConfig:
 
 
 class SIDNode:
-    """One node running Algorithm SID."""
+    """One node running Algorithm SID, fed window outcomes.
+
+    Initialization and the eq. 4-8 detection run outside the state
+    machine (the fleet engine walks every node's windows); each window's
+    outcome arrives through :meth:`on_window_outcome`, which drives the
+    DetectIntrusion branches.  ``config.detector`` configures the engine
+    that computes those outcomes; the state machine itself never reads
+    it.
+    """
 
     def __init__(
         self,
         node_id: int,
         position: Position,
         config: SIDNodeConfig | None = None,
-        row: int = 0,
-        column: int = 0,
         track_hint: TravelLine | None = None,
     ) -> None:
         self.config = config if config is not None else SIDNodeConfig()
         self.node_id = node_id
         self.position = position
-        self.detector = NodeDetector(
-            node_id, position, self.config.detector, row=row, column=column
-        )
         #: Optional externally supplied travel-line hypothesis (used by
         #: the controlled Table I/II experiments); None = fit from data.
         self.track_hint = track_hint
-        self._state = SIDState.INITIALIZING
         self._cluster: Optional[TemporaryCluster] = None
         self._member_of: Optional[int] = None
         self._member_since: float = 0.0
-        #: Set by :meth:`on_window_outcome` when an external engine
-        #: (the fleet-vectorized precomputation) reports the baseline
-        #: seeded; the internal detector is bypassed on that path.
-        self._precomputed_init = False
+        #: Set by :meth:`on_window_outcome` once a window outcome
+        #: reports the eq. 4 baseline seeded; cleared by a cold restart.
+        self._initialized = False
         #: Optional telemetry tracer, installed by the network layer;
         #: None keeps the detection path free of emission overhead.
         self.tracer: Optional[Tracer] = None
@@ -145,23 +147,22 @@ class SIDNode:
     def cold_restart(self) -> None:
         """Forget all RAM state, as a true (non-watchdog) reboot would.
 
-        The adaptive eq. 5 baseline, any temporary-cluster role and any
-        membership are lost; the node re-enters INITIALIZING and must
-        re-seed its baseline from ``init_windows`` fresh windows before
-        it can detect again (the re-warm-up blind window the
-        self-healing runtime meters).
+        Any temporary-cluster role and any membership are lost, and the
+        node re-enters INITIALIZING until a window outcome reports its
+        eq. 5 baseline re-seeded from ``init_windows`` fresh windows
+        (the engine computing the outcomes resets the baseline at the
+        same reboot) — the re-warm-up blind window the self-healing
+        runtime meters.
         """
-        self.detector.reset()
-        self._state = SIDState.INITIALIZING
         self._cluster = None
         self._member_of = None
         self._member_since = 0.0
-        self._precomputed_init = False
+        self._initialized = False
 
     @property
     def state(self) -> SIDState:
         """Current node state."""
-        if not (self.detector.initialized or self._precomputed_init):
+        if not self._initialized:
             return SIDState.INITIALIZING
         if self._cluster is not None and not self._cluster.closed:
             return SIDState.TEMP_CLUSTER_HEAD
@@ -180,29 +181,22 @@ class SIDNode:
     # ------------------------------------------------------------------
     # DetectIntrusion
     # ------------------------------------------------------------------
-    def on_samples(self, a_window: np.ndarray, t0: float) -> list[SIDAction]:
-        """Process one preprocessed Delta-t window (DetectIntrusion)."""
-        self._expire_membership(t0)
-        report = self.detector.process_window(a_window, t0)
-        return self._actions_for_report(report)
-
     def on_window_outcome(
         self,
         report: Optional[NodeReport],
         t0: float,
-        initialized: bool = True,
+        initialized: bool,
     ) -> list[SIDAction]:
-        """DetectIntrusion fed a precomputed window outcome.
+        """DetectIntrusion for one Delta-t window starting at ``t0``.
 
-        The fleet-vectorized engine runs eqs. 4-8 for the whole
-        deployment ahead of the discrete-event run; the per-window
-        result (a report or None, plus whether the baseline had seeded
-        by that window) replays through the same cluster-protocol
-        branches :meth:`on_samples` takes.
+        ``report`` is the window's eq. 4-8 outcome (None when the
+        anomaly frequency stayed below threshold or the baseline is
+        still seeding) and ``initialized`` whether the baseline had
+        seeded by the end of the window.
         """
         self._expire_membership(t0)
         if initialized:
-            self._precomputed_init = True
+            self._initialized = True
         return self._actions_for_report(report)
 
     def _actions_for_report(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import networkx as nx
-import numpy as np
 
 from repro.detection.sid import (
     CancelClusterAction,
@@ -241,40 +240,23 @@ class NetworkNode:
     # ------------------------------------------------------------------
     # Detection-side entry points
     # ------------------------------------------------------------------
-    def feed_window(self, a_window: np.ndarray, t0: float) -> None:
-        """Process one preprocessed sample window at its end time."""
-        if not self.alive:
-            return
-        if self.battery is not None and self.battery.depleted:
-            return
-        if self.battery is not None:
-            self.battery.draw_cpu(0.001 * len(a_window))
-        telemetry = self.network.telemetry
-        if telemetry is not None:
-            telemetry.metrics.counter("windows_processed").inc()
-        actions = self.sid.on_samples(a_window, t0)
-        if self._blind_since is not None and self.sid.detector.initialized:
-            self._close_blind_window()
-        self._dispatch(actions)
-        self._dispatch(self.sid.on_timer(self.network.sim.now))
-
     def feed_outcome(
         self,
         report: Optional[NodeReport],
         n_samples: int,
         t0: float,
-        initialized: bool = True,
+        initialized: bool,
     ) -> None:
         """Replay one precomputed window outcome at its end time.
 
         The fleet-vectorized engine computes every window's detection
-        result before the event loop runs; this entry point keeps the
-        gates and billing of :meth:`feed_window` — a crashed or
-        battery-dead node discards its outcome exactly as it would have
-        skipped the window — and hands the result to the SID machine.
-        ``initialized`` (the precomputed baseline's seeded flag after
+        result before the event loop runs; this is the only way
+        detection reaches the node.  A crashed or battery-dead node
+        discards the outcome, as a mote would skip the window; a live
+        one bills ``n_samples`` of CPU time and hands the outcome to the
+        SID machine.  ``initialized`` (the baseline's seeded flag after
         this window) also closes a cold restart's re-warm-up blind
-        window, as the detector's own flag does in :meth:`feed_window`.
+        window.
         """
         if not self.alive:
             return
@@ -300,17 +282,18 @@ class NetworkNode:
     def catch_up_quiet_windows(self, n_windows: int, n_samples: int) -> None:
         """Bill a coalesced run of provably-quiet precomputed windows.
 
-        The runner elides ``feed_outcome`` events whose report is None
-        and which fall outside every radio-active interval: those feeds
-        touch nothing but the battery and the windows counter.  One
+        The runner elides :meth:`feed_outcome` events whose report is
+        None and which fall outside every radio-active interval: those
+        feeds touch nothing but the battery and the windows counter.  One
         catch-up event replays exactly that effect — same gates, same
         per-window ``draw_cpu`` amounts in the same order, stopping at
         depletion just as the individual feeds would have — so the
         billing is arithmetically identical to the un-elided schedule.
-        (The runner only elides when no fault plan is active, so
-        ``alive`` and the drain multiplier cannot change mid-run, and
-        when no low-charge watch is armed, whose watermark crossing
-        would observe the reordered draws.)
+        The runner decides elision from its inputs alone: only when no
+        fault plan is active (so ``alive`` and the drain multiplier
+        cannot change mid-run), no low-charge watch is armed (its
+        watermark crossing would observe the reordered draws) and no
+        battery can deplete during the run.
         """
         if not self.alive:
             return

@@ -450,7 +450,6 @@ class Sanitizer:
         node_cell: Cell = ("node", nid)
         sid_cell: Cell = ("sid", nid)
         for name in (
-            "feed_window",
             "feed_outcome",
             "catch_up_quiet_windows",
             "tick",

@@ -6,10 +6,10 @@ synthesised, node-level detection runs locally, and a single temporary
 cluster fuses all reports — isolating the *detection* behaviour from
 radio losses.
 
-``run_network_scenario`` drives the same detectors through the full
-discrete-event stack (flooded cluster setup, lossy member reports,
-multihop delivery to the sink) — the configuration the ablation
-benchmarks stress.
+``run_network_scenario`` replays the same detection outcomes into each
+node's SID state machine on the full discrete-event stack (flooded
+cluster setup, lossy member reports, multihop delivery to the sink) —
+the configuration the ablation benchmarks stress.
 
 Node-level detection is local to each buoy, so every runner evaluates
 it with the lockstep :class:`FleetDetector`, one group per sample grid.
@@ -459,9 +459,10 @@ def _fleet_network_outcomes(
     grid.  The run-time influences on a node's detector state are all
     fixed by the fault plan up front:
 
-    * a *skipped* window — a crashed node's ``feed_window`` returns
-      before touching the detector — so the walk masks out exactly the
-      windows whose end times land inside an effective crash interval;
+    * a *skipped* window — a crashed node's ``feed_outcome`` returns
+      before the window reaches the node — so the walk masks out
+      exactly the windows whose end times land inside an effective
+      crash interval;
     * with ``cold_restarts`` (healing armed without a persisted
       baseline) a reboot resets the node's baseline, so the walk resets
       that row just before the first window ending after the reboot.
@@ -643,7 +644,6 @@ def run_network_scenario(
     resync_interval_s: float | None = 120.0,
     seed: RandomState = None,
     telemetry: Optional[Telemetry] = None,
-    quiet_elision: bool = True,
     sanitizer: Optional[Sanitizer] = None,
 ) -> NetworkScenarioResult:
     """Run one scenario through the full network stack.
@@ -682,14 +682,13 @@ def run_network_scenario(
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
-    ``quiet_elision`` (default True) skips scheduling provably-no-op
-    window feeds and timer ticks during radio-quiet stretches,
-    coalescing their battery billing into batched catch-up events with
-    arithmetically identical draws.  It only ever engages when no fault
-    plan is active and no low-charge watch is armed, and the result is
-    bit-identical
-    either way; set it False to force the one-event-per-window schedule
-    (the benchmarks' reference arm does).
+    Quiet-tick elision skips scheduling provably-no-op window feeds and
+    timer ticks during radio-quiet stretches, coalescing their battery
+    billing into batched catch-up events with arithmetically identical
+    draws.  The inputs alone decide it: it engages only when no fault
+    plan is active, no low-charge watch is armed and no battery can
+    deplete (``_billing_order_free``); otherwise every window gets its
+    own feed event.  The result is bit-identical either way.
 
     ``sanitizer`` (optional) attaches a :class:`repro.sanitize.
     Sanitizer` recording probe: per-event shadow access sets, order-
@@ -810,8 +809,7 @@ def run_network_scenario(
     # depletion is unreachable, hence the headroom precondition, and
     # while no low-charge watch can fire on the reordered draws.
     elide = (
-        quiet_elision
-        and not injector.active
+        not injector.active
         and not watch_low
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
@@ -836,12 +834,7 @@ def run_network_scenario(
 
     for node in deployment:
         sid = SIDNode(
-            node.node_id,
-            node.anchor,
-            cfg,
-            row=node.row,
-            column=node.column,
-            track_hint=track_hypothesis,
+            node.node_id, node.anchor, cfg, track_hint=track_hypothesis
         )
         proc = network.add_node(sid, battery=node.mote.battery)
         trace = traces[node.node_id]

@@ -39,11 +39,8 @@ from repro.types import AccelTrace
 #: ``"timedomain"`` is the historical reference (unsnapped frequencies,
 #: trig-matrix evaluation); ``"spectral"`` snaps the realised
 #: components onto an oversampled FFT grid and contracts the fleet
-#: with one batched inverse real FFT; ``"spectral_reference"`` realises
-#: the same snapped components but evaluates them through the
-#: time-domain engine — the equivalence reference whose digitised
-#: counts ``"spectral"`` must reproduce bit for bit.
-SYNTHESIS_METHODS = ("timedomain", "spectral", "spectral_reference")
+#: with one batched inverse real FFT.
+SYNTHESIS_METHODS = ("timedomain", "spectral")
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ class SynthesisConfig:
     @property
     def snaps_frequencies(self) -> bool:
         """Whether this config realises the field on an FFT grid."""
-        return self.synthesis_method in ("spectral", "spectral_reference")
+        return self.synthesis_method == "spectral"
 
 
 def build_ambient_field(
@@ -95,10 +92,10 @@ def build_ambient_field(
     """The scenario's shared ambient wave-field realisation.
 
     ``spectral_grid`` realises the field's components on that FFT grid
-    (required for ``config.synthesis_method`` values that snap); the
-    RNG draw sequence is identical either way, so a snapped and an
-    unsnapped field from one seed share phases, directions and
-    amplitudes and differ only by the <= df/2 frequency snap.
+    (required for ``synthesis_method="spectral"``); the RNG draw
+    sequence is identical either way, so a snapped and an unsnapped
+    field from one seed share phases, directions and amplitudes and
+    differ only by the <= df/2 frequency snap.
     """
     spectrum = sea_state_spectrum(config.sea_state)
     return AmbientWaveField(
@@ -115,7 +112,7 @@ def fleet_spectral_grid(
     """The :class:`SpectralGrid` a config realises its field on.
 
     ``None`` for the pure time-domain method.  ``t`` is the fleet's
-    shared sample grid; the snapping methods need at least two samples
+    shared sample grid; the spectral method needs at least two samples
     on it.
     """
     if not config.snaps_frequencies:
@@ -236,14 +233,13 @@ def synthesize_fleet_traces(
     node reduces to two BLAS contractions.  ``"spectral"`` snaps the
     realised components onto an FFT grid and contracts the fleet with
     one batched inverse real FFT instead (~10x on the 64-node / 400 s
-    workload); ``"spectral_reference"`` evaluates those same snapped
-    components through the time-domain engine, digitising bit-identical
-    counts.  Each ship's Kelvin wake is built once per scenario rather
-    than once per node.
+    workload), digitising counts bit-identical to the time-domain engine
+    over the same snapped field.  Each ship's Kelvin wake is built once
+    per scenario rather than once per node.
 
     Nodes whose motes do not share one fleet sample grid fall back to
-    the per-node time-domain path; the snapping methods have no
-    per-node form and raise :class:`ConfigurationError` there.
+    the per-node time-domain path; the spectral method has no per-node
+    form and raises :class:`ConfigurationError` there.
     """
     cfg = config if config is not None else SynthesisConfig()
     base = make_rng(seed)
@@ -268,18 +264,15 @@ def synthesize_fleet_traces(
     )
     if shared_grid:
         t = grids[0]
-        method = (
-            "spectral" if cfg.synthesis_method == "spectral" else "timedomain"
-        )
         az_all = field.vertical_acceleration_batch(
             [n.anchor for n in nodes],
             t,
             responses=[n.buoy.heave_gain for n in nodes],
-            method=method,
+            method=cfg.synthesis_method,
         )
         h_all = (
             field.horizontal_acceleration_batch(
-                [n.anchor for n in nodes], t, method=method
+                [n.anchor for n in nodes], t, method=cfg.synthesis_method
             )
             if cfg.include_horizontal
             else None

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.detection.cluster import TemporaryClusterConfig
-from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.detection.reports import NodeReport
 from repro.detection.sid import (
     CancelClusterAction,
@@ -19,6 +19,8 @@ from repro.detection.sid import (
     SetupClusterAction,
 )
 from repro.types import Position
+
+from tests.scenario.oracles import feed_window
 
 
 def _config(**cluster_kw):
@@ -38,7 +40,12 @@ def _config(**cluster_kw):
 
 
 def _node(node_id=0, **kw):
-    return SIDNode(node_id, Position(0, 0), _config(**kw), row=0, column=0)
+    """A SID node and the test-side detector whose outcomes it is fed."""
+    cfg = _config(**kw)
+    return (
+        SIDNode(node_id, Position(0, 0), cfg),
+        NodeDetector(node_id, Position(0, 0), cfg.detector),
+    )
 
 
 def _quiet(rng, n=100):
@@ -49,10 +56,10 @@ def _burst(rng, n=100):
     return _quiet(rng, n) + 10.0
 
 
-def _init(node, rng, t0=0.0):
+def _init(node, det, rng, t0=0.0):
     """Run the Initialization procedure (2 windows)."""
-    node.on_samples(_quiet(rng), t0)
-    node.on_samples(_quiet(rng), t0 + 2.0)
+    feed_window(node, det, _quiet(rng), t0)
+    feed_window(node, det, _quiet(rng), t0 + 2.0)
 
 
 def _member_report(node_id, t):
@@ -67,62 +74,62 @@ def _member_report(node_id, t):
 
 class TestLifecycle:
     def test_starts_initializing(self, rng):
-        node = _node()
+        node, _ = _node()
         assert node.state == SIDState.INITIALIZING
 
     def test_monitoring_after_init(self, rng):
-        node = _node()
-        _init(node, rng)
+        node, det = _node()
+        _init(node, det, rng)
         assert node.state == SIDState.MONITORING
 
     def test_detection_sets_up_cluster(self, rng):
-        node = _node()
-        _init(node, rng)
-        actions = node.on_samples(_burst(rng), 4.0)
+        node, det = _node()
+        _init(node, det, rng)
+        actions = feed_window(node, det, _burst(rng), 4.0)
         assert len(actions) == 1
         assert isinstance(actions[0], SetupClusterAction)
         assert node.state == SIDState.TEMP_CLUSTER_HEAD
         assert node.in_temp_cluster
 
     def test_member_reports_to_head(self, rng):
-        node = _node()
-        _init(node, rng)
+        node, det = _node()
+        _init(node, det, rng)
         node.on_cluster_setup(head_id=9, t=4.0)
         assert node.state == SIDState.TEMP_CLUSTER_MEMBER
-        actions = node.on_samples(_burst(rng), 6.0)
+        actions = feed_window(node, det, _burst(rng), 6.0)
         assert len(actions) == 1
         assert isinstance(actions[0], MemberReportAction)
         assert actions[0].head_id == 9
 
     def test_head_ignores_invites(self, rng):
-        node = _node()
-        _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        node, det = _node()
+        _init(node, det, rng)
+        feed_window(node, det, _burst(rng), 4.0)
         node.on_cluster_setup(head_id=9, t=5.0)
         assert node.state == SIDState.TEMP_CLUSTER_HEAD
 
     def test_own_setup_rejected(self, rng):
-        node = _node(7)
+        node, _ = _node(7)
         with pytest.raises(ProtocolError):
             node.on_cluster_setup(head_id=7, t=0.0)
 
     def test_cancel_releases_member(self, rng):
-        node = _node()
-        _init(node, rng)
+        node, det = _node()
+        _init(node, det, rng)
         node.on_cluster_setup(head_id=9, t=4.0)
         node.on_cluster_cancel(head_id=9)
         assert node.state == SIDState.MONITORING
 
     def test_cancel_from_other_head_ignored(self, rng):
-        node = _node()
-        _init(node, rng)
+        node, det = _node()
+        _init(node, det, rng)
         node.on_cluster_setup(head_id=9, t=4.0)
         node.on_cluster_cancel(head_id=5)
         assert node.state == SIDState.TEMP_CLUSTER_MEMBER
 
     def test_membership_expires(self, rng):
-        node = _node()
-        _init(node, rng)
+        node, det = _node()
+        _init(node, det, rng)
         node.on_cluster_setup(head_id=9, t=4.0)
         node.on_timer(4.0 + node.config.membership_ttl_s + 1.0)
         assert node.state == SIDState.MONITORING
@@ -130,9 +137,9 @@ class TestLifecycle:
 
 class TestHeadEvaluation:
     def test_lone_head_cancels_after_quiet_timeout(self, rng):
-        node = _node()
-        _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        node, det = _node()
+        _init(node, det, rng)
+        feed_window(node, det, _burst(rng), 4.0)
         assert node.on_timer(10.0) == []  # before quiet deadline
         actions = node.on_timer(30.0)
         assert len(actions) == 1
@@ -140,9 +147,9 @@ class TestHeadEvaluation:
         assert node.state == SIDState.MONITORING
 
     def test_head_confirms_with_member_reports(self, rng):
-        node = _node(min_reports=2, min_rows=1)
-        _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        node, det = _node(min_reports=2, min_rows=1)
+        _init(node, det, rng)
+        feed_window(node, det, _burst(rng), 4.0)
         node.on_member_report(_member_report(1, 6.0))
         node.on_member_report(_member_report(2, 8.0))
         actions = node.on_timer(4.0 + 61.0)
@@ -151,21 +158,21 @@ class TestHeadEvaluation:
         assert node.state == SIDState.MONITORING
 
     def test_late_member_report_dropped(self, rng):
-        node = _node()
-        _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        node, det = _node()
+        _init(node, det, rng)
+        feed_window(node, det, _burst(rng), 4.0)
         node.on_timer(200.0)  # cluster evaluated and closed
         node.on_member_report(_member_report(1, 201.0))  # must not crash
 
     def test_timer_noop_when_no_cluster(self, rng):
-        node = _node()
-        _init(node, rng)
+        node, det = _node()
+        _init(node, det, rng)
         assert node.on_timer(100.0) == []
 
     def test_result_action_carries_event(self, rng):
-        node = _node(min_reports=2, min_rows=1)
-        _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        node, det = _node(min_reports=2, min_rows=1)
+        _init(node, det, rng)
+        feed_window(node, det, _burst(rng), 4.0)
         # Two member reports in the same row with correlated structure.
         node.on_member_report(_member_report(1, 6.0))
         actions = node.on_timer(4.0 + 61.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detection.cluster import TemporaryClusterConfig
-from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
 from repro.faults.injector import FaultInjector
@@ -23,6 +23,8 @@ from repro.network.nodeproc import SensorNetwork
 from repro.sensors.accelerometer import Accelerometer
 from repro.sensors.battery import Battery
 from repro.types import Position
+
+from tests.scenario.oracles import feed_window
 
 
 def _network(n=4, spacing=25.0, seed=0, batteries=False):
@@ -48,7 +50,7 @@ def _network(n=4, spacing=25.0, seed=0, batteries=False):
     )
     for i in range(n):
         net.add_node(
-            SIDNode(i, positions[i], cfg, row=0, column=i),
+            SIDNode(i, positions[i], cfg),
             battery=Battery(100.0) if batteries else None,
         )
     return net
@@ -120,11 +122,13 @@ class TestCrashAndReboot:
         plan = FaultPlan(node_crashes=(NodeCrash(0, at_s=0.0),))
         injector = FaultInjector(plan)
         injector.install(net)
+        proc = net.nodes[0]
+        det = NodeDetector(0, proc.position, proc.sid.config.detector)
         rng = np.random.default_rng(0)
         for k in range(4):
             w = rng.uniform(0.0, 1.0, 100) + (10.0 if k >= 2 else 0.0)
             net.sim.schedule_at(
-                2.0 * k + 2.0, net.nodes[0].feed_window, w, 2.0 * k
+                2.0 * k + 2.0, feed_window, proc, det, w, 2.0 * k
             )
         net.sim.run(until=30.0)
         assert net.nodes[0].sid.state.value == "initializing"

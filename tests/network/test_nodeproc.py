@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.detection.cluster import TemporaryClusterConfig
-from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.detection.reports import NodeReport
 from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
@@ -15,6 +15,8 @@ from repro.network.channel import Channel, ChannelConfig
 from repro.network.messages import ClusterReportMsg, MemberReportMsg
 from repro.network.nodeproc import SensorNetwork
 from repro.types import Position
+
+from tests.scenario.oracles import feed_window
 
 
 def _network(n=4, spacing=25.0, loss=0.0, seed=0):
@@ -43,21 +45,23 @@ def _network(n=4, spacing=25.0, loss=0.0, seed=0):
         ),
     )
     for i in range(n):
-        net.add_node(SIDNode(i, positions[i], cfg, row=0, column=i))
+        net.add_node(SIDNode(i, positions[i], cfg))
     return net, sink
 
 
 def _drive(net, node_id, windows):
     """Feed quiet/burst windows into one node at 2 s cadence."""
+    proc = net.nodes[node_id]
+    det = NodeDetector(
+        node_id, proc.position, proc.sid.config.detector, column=node_id
+    )
     rng = np.random.default_rng(42 + node_id)
     for k, kind in enumerate(windows):
         w = rng.uniform(0.0, 1.0, 100)
         if kind == "burst":
             w = w + 10.0
         t0 = 2.0 * k
-        net.sim.schedule_at(
-            t0 + 2.0, net.nodes[node_id].feed_window, w, t0
-        )
+        net.sim.schedule_at(t0 + 2.0, feed_window, proc, det, w, t0)
 
 
 def test_cluster_setup_floods_to_neighbours():

@@ -32,7 +32,7 @@ def network():
     )
     # Register node processes so frames can be forwarded hop by hop.
     for nid, pos in positions.items():
-        net.add_node(SIDNode(nid, pos, row=nid // 5, column=nid % 5))
+        net.add_node(SIDNode(nid, pos))
     return net
 
 

@@ -1,18 +1,34 @@
-"""Per-node reference oracles for the scenario runners.
+"""Reference oracles for the scenario runners, and the test-side feeds.
 
 The runners evaluate node-level detection (eqs. 4-8) with the lockstep
-fleet engine only.  The paper's per-node formulation — one
-:class:`NodeDetector` walking its own trace, in the network one
-:meth:`NetworkNode.feed_window` per window at event time, and under
-duty cycling one window at a time in global time order — stays in the
-library as the spec; these oracles run it so tests can demand
-bit-identical results from the fleet paths.
+fleet engine only, and ambient synthesis under ``"spectral"`` with one
+batched inverse FFT.  The reference formulations live here, so tests
+can demand bit-identical results from the fast paths:
+
+- :func:`reference_offline` — one :class:`NodeDetector` walking each
+  node's own trace;
+- :func:`reference_network` — one :class:`NodeDetector` per deployed
+  node, stepped at event time behind the node's alive/depleted gates
+  and reset by a cold restart, on the full one-event-per-window
+  schedule;
+- :func:`reference_dutycycled` — one window at a time in global time
+  order;
+- :func:`reference_spectral_synthesis` — the snapped ``"spectral"``
+  field evaluated through the time-domain engine.
+
+:func:`feed_window` is the per-node way into the protocol stack — a
+test-side detector's outcome for one raw window — for tests that drive
+:class:`SIDNode` or :class:`NetworkNode` by hand, and
+:func:`full_schedule` forces the schedule without quiet-tick elision.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence, Union
 
+import numpy as np
 import pytest
 
 import repro.scenario.runner as runner
@@ -24,8 +40,10 @@ from repro.detection.node_detector import (
     window_starts,
 )
 from repro.detection.preprocess import preprocess_z_counts
+from repro.detection.sid import SIDAction, SIDNode
 from repro.faults.plan import BatteryDrain
 from repro.network.nodeproc import NetworkNode
+from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import (
     DutyCycledScenarioResult,
@@ -35,7 +53,55 @@ from repro.scenario.runner import (
     truth_windows_for,
 )
 from repro.scenario.ship import ShipTrack
+from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.types import AccelTrace
+
+#: The library's methods, kept before any oracle patches their classes.
+_FEED_OUTCOME = NetworkNode.feed_outcome
+_COLD_RESTART = SIDNode.cold_restart
+
+
+def feed_window(
+    target: Union[SIDNode, NetworkNode],
+    detector: NodeDetector,
+    a_window: np.ndarray,
+    t0: float,
+) -> Optional[list[SIDAction]]:
+    """Step ``detector`` over one preprocessed window and replay its
+    outcome into ``target``.
+
+    A :class:`SIDNode` target returns its actions.  A
+    :class:`NetworkNode` target keeps the gates of a deployed mote: a
+    crashed or battery-dead node's window never reaches its detector,
+    and a live node's outcome goes through ``feed_outcome``.
+    """
+    if isinstance(target, SIDNode):
+        report = detector.process_window(a_window, t0)
+        return target.on_window_outcome(
+            report, t0, initialized=detector.initialized
+        )
+    if not target.alive:
+        return None
+    if target.battery is not None and target.battery.depleted:
+        return None
+    report = detector.process_window(a_window, t0)
+    _FEED_OUTCOME(
+        target, report, len(a_window), t0, initialized=detector.initialized
+    )
+    return None
+
+
+@contextmanager
+def full_schedule() -> Iterator[pytest.MonkeyPatch]:
+    """Run ``run_network_scenario`` without quiet-tick elision.
+
+    Elision is decided from the inputs alone; declaring the billing
+    order unsafe makes every window its own feed event and keeps the
+    periodic ticks.  The patch lasts for the ``with`` block.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_billing_order_free", lambda *args: False)
+        yield mp
 
 
 def reference_offline(
@@ -80,43 +146,50 @@ def reference_offline(
     )
 
 
-def _every_window(deployment, traces, det_cfg, faults, now, cold_restarts):
-    """Every window of every node, unmasked, carrying its raw segment.
-
-    Stands in for the fleet precompute: the segment rides in the report
-    slot, and the patched ``feed_outcome`` hands it to ``feed_window``,
-    so crashes, reboots and cold restarts act at event time.
-    """
-    w = det_cfg.window_samples
-    out = {}
-    for node in deployment:
-        a = preprocess_z_counts(traces[node.node_id].z, det_cfg.preprocess)
-        out[node.node_id] = [
-            (start, a[start : start + w], True)
-            for start in window_starts(det_cfg, len(a))
-        ]
-    return out, 0
-
-
-def _feed_window(self, segment, n_samples, t0, initialized=True):
-    self.feed_window(segment, t0)
-
-
 def reference_network(*args, **kwargs) -> NetworkScenarioResult:
     """``run_network_scenario`` with per-node detection at event time.
 
-    The event-time oracle: each node's own ``NodeDetector`` (inside its
-    SID) sees every window through ``NetworkNode.feed_window``, which
-    skips windows while the node is down and whose detector a cold
-    restart resets.  Quiet elision is off, so one feed event is
-    scheduled per window.  The patches last for this call only.
+    The event-time oracle: every window of every node is scheduled,
+    unmasked, with its raw segment in the report slot; at feed time
+    :func:`feed_window` steps the node's own ``NodeDetector`` behind the
+    alive/depleted gates, and a cold restart resets that detector.  So
+    crashes, reboots and cold restarts act on detection as they happen,
+    not through the fleet precompute's plan-derived mask and resets.
+    :func:`full_schedule` keeps one feed event per window.  The patches
+    last for this call only.
     """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_fleet_network_outcomes", _every_window)
-        mp.setattr(NetworkNode, "feed_outcome", _feed_window)
-        return runner.run_network_scenario(
-            *args, quiet_elision=False, **kwargs
-        )
+    detectors: dict[int, NodeDetector] = {}
+
+    def every_window(deployment, traces, det_cfg, faults, now, cold_restarts):
+        w = det_cfg.window_samples
+        out = {}
+        for node in deployment:
+            detectors[node.node_id] = NodeDetector(
+                node.node_id,
+                node.anchor,
+                det_cfg,
+                row=node.row,
+                column=node.column,
+            )
+            a = preprocess_z_counts(traces[node.node_id].z, det_cfg.preprocess)
+            out[node.node_id] = [
+                (start, a[start : start + w], True)
+                for start in window_starts(det_cfg, len(a))
+            ]
+        return out, 0
+
+    def feed_segment(self, segment, n_samples, t0, initialized):
+        feed_window(self, detectors[self.node_id], segment, t0)
+
+    def cold_restart(self):
+        detectors[self.node_id].reset()
+        _COLD_RESTART(self)
+
+    with full_schedule() as mp:
+        mp.setattr(runner, "_fleet_network_outcomes", every_window)
+        mp.setattr(NetworkNode, "feed_outcome", feed_segment)
+        mp.setattr(SIDNode, "cold_restart", cold_restart)
+        return runner.run_network_scenario(*args, **kwargs)
 
 
 def _sequential_walk(
@@ -256,3 +329,48 @@ def runner_and_oracle(make_scenario, **run_kwargs):
         result = run(deployment, ships, **run_kwargs)
         outcomes.append(dutycycled_outcome(result, deployment))
     return outcomes
+
+
+@contextmanager
+def timedomain_ambient() -> Iterator[None]:
+    """Evaluate every ambient batch with the time-domain engine.
+
+    Whatever ``method`` the caller asks for, the batched vertical and
+    horizontal evaluators sum the field's components through the trig
+    matrices.  The patch lasts for the ``with`` block.
+    """
+    vertical = AmbientWaveField.vertical_acceleration_batch
+    horizontal = AmbientWaveField.horizontal_acceleration_batch
+
+    def vertical_td(self, positions, t, responses=None, method="timedomain"):
+        return vertical(self, positions, t, responses)
+
+    def horizontal_td(self, positions, t, method="timedomain"):
+        return horizontal(self, positions, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AmbientWaveField, "vertical_acceleration_batch", vertical_td)
+        mp.setattr(
+            AmbientWaveField, "horizontal_acceleration_batch", horizontal_td
+        )
+        yield
+
+
+def reference_spectral_synthesis(
+    deployment: GridDeployment,
+    ships: Sequence[ShipTrack] = (),
+    config: Optional[SynthesisConfig] = None,
+    **kwargs,
+) -> dict[int, AccelTrace]:
+    """``synthesize_fleet_traces`` under ``"spectral"``, evaluated in the
+    time domain: the spectral oracle.
+
+    The field is realised on the same snapped FFT grid, so the spectral
+    engine must digitise bit-identical counts.
+    """
+    cfg = replace(
+        config if config is not None else SynthesisConfig(),
+        synthesis_method="spectral",
+    )
+    with timedomain_ambient():
+        return synthesize_fleet_traces(deployment, ships, cfg, **kwargs)

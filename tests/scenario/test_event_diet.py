@@ -1,11 +1,12 @@
 """Quiet-tick elision equivalence: the event diet changes nothing.
 
-``run_network_scenario(quiet_elision=True)`` (the default) coalesces
-provably-no-op window feeds into batched catch-up events and drops
-timer ticks outside each node's guarded head-activity intervals.  The
+``run_network_scenario`` coalesces provably-no-op window feeds into
+batched catch-up events and drops timer ticks outside each node's
+guarded head-activity intervals, whenever its inputs allow it.  The
 whole point is that this is *invisible*: every test here runs the same
-scenario with elision on and off and demands bit-identical results —
-including the battery billing that the catch-up path replays in batch.
+scenario as the runner chooses and on the full schedule
+(``full_schedule``) and demands bit-identical results — including the
+battery billing that the catch-up path replays in batch.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
 from repro.telemetry import Telemetry
+
+from tests.scenario.oracles import full_schedule
 
 
 def _config():
@@ -47,18 +50,24 @@ def _run(with_ship=True, mote_config=None, telemetry=None, **kwargs):
     )
 
 
+def _run_full(**kwargs):
+    """``_run`` on the one-event-per-window schedule."""
+    with full_schedule():
+        return _run(**kwargs)
+
+
 class TestElisionEquivalence:
     def test_ship_scenario_bit_identical(self):
-        fast = _run(quiet_elision=True)
-        full = _run(quiet_elision=False)
+        fast = _run()
+        full = _run_full()
         assert fast.intrusion_detected
         assert scenario_digest(fast) == scenario_digest(full)
 
     def test_quiet_fleet_bit_identical(self):
         # No ship: the quiet-heavy case where elision collapses most of
         # the schedule.
-        fast = _run(with_ship=False, quiet_elision=True)
-        full = _run(with_ship=False, quiet_elision=False)
+        fast = _run(with_ship=False)
+        full = _run_full(with_ship=False)
         assert not fast.intrusion_detected
         assert scenario_digest(fast) == scenario_digest(full)
 
@@ -68,8 +77,8 @@ class TestElisionEquivalence:
         policy = RetransmitPolicy(
             max_attempts=3, base_backoff_s=0.5, staleness_s=30.0
         )
-        fast = _run(quiet_elision=True, retransmit=policy)
-        full = _run(quiet_elision=False, retransmit=policy)
+        fast = _run(retransmit=policy)
+        full = _run_full(retransmit=policy)
         assert scenario_digest(fast) == scenario_digest(full)
 
     def test_telemetry_counters_agree(self):
@@ -77,8 +86,8 @@ class TestElisionEquivalence:
         # one-event-per-window path does, the same number of times.
         tel_fast = Telemetry.memory()
         tel_full = Telemetry.memory()
-        fast = _run(quiet_elision=True, telemetry=tel_fast)
-        full = _run(quiet_elision=False, telemetry=tel_full)
+        fast = _run(telemetry=tel_fast)
+        full = _run_full(telemetry=tel_full)
         assert scenario_digest(fast) == scenario_digest(full)
         windows_fast = tel_fast.metrics.counter("windows_processed").value
         windows_full = tel_full.metrics.counter("windows_processed").value
@@ -91,27 +100,27 @@ class TestElisionPreconditions:
         # fails, elision turns itself off, and both arms take the full
         # schedule — results must still match exactly.
         mote = MoteConfig(battery_capacity_j=0.5)
-        fast = _run(mote_config=mote, quiet_elision=True)
-        full = _run(mote_config=mote, quiet_elision=False)
+        fast = _run(mote_config=mote)
+        full = _run_full(mote_config=mote)
         assert scenario_digest(fast) == scenario_digest(full)
 
     def test_fault_plan_disables_elision_safely(self):
         # An active fault plan forces the full path (crashes change
-        # which windows are no-ops); equivalence is trivial but the
-        # flag must not perturb the run.
+        # which windows are no-ops); equivalence is trivial but forcing
+        # the full schedule must not perturb the run.
         plan = FaultPlan.rolling_crashes(
             [5, 2], first_at_s=60.0, interval_s=30.0, downtime_s=60.0
         )
-        fast = _run(quiet_elision=True, faults=plan)
-        full = _run(quiet_elision=False, faults=plan)
+        fast = _run(faults=plan)
+        full = _run_full(faults=plan)
         assert scenario_digest(fast) == scenario_digest(full)
 
 
 class TestElisionUnderHealing:
     @staticmethod
-    def _events(quiet_elision, **kwargs):
+    def _events(run, **kwargs):
         tel = Telemetry.memory()
-        result = _run(quiet_elision=quiet_elision, telemetry=tel, **kwargs)
+        result = run(telemetry=tel, **kwargs)
         executed = tel.metrics.counter("scheduler.events_executed").value
         return scenario_digest(result), executed
 
@@ -119,8 +128,8 @@ class TestElisionUnderHealing:
         # Healed runs take the fleet precompute, so with no fault plan
         # the event diet engages for them too.
         healing = SelfHealingConfig()
-        fast, fast_events = self._events(True, healing=healing)
-        full, full_events = self._events(False, healing=healing)
+        fast, fast_events = self._events(_run, healing=healing)
+        full, full_events = self._events(_run_full, healing=healing)
         assert fast == full
         assert fast_events < full_events
 
@@ -131,10 +140,10 @@ class TestElisionUnderHealing:
         healing = SelfHealingConfig(demote_battery_fraction=0.9)
         mote = MoteConfig(battery_capacity_j=10.0)
         fast, fast_events = self._events(
-            True, healing=healing, mote_config=mote
+            _run, healing=healing, mote_config=mote
         )
         full, full_events = self._events(
-            False, healing=healing, mote_config=mote
+            _run_full, healing=healing, mote_config=mote
         )
         assert fast == full
         assert fast_events == full_events

@@ -3,7 +3,8 @@
 The spectral engine's one batched IFFT is realised up front as an
 ambient slab and chunks are carved out of it, so the chunked z streams
 — and therefore the whole streaming detection run — must equal the
-offline spectral path verbatim.
+offline spectral path verbatim, and the time-domain evaluation of the
+same snapped field (``reference_spectral_synthesis``) too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from repro.scenario.streaming import (
 )
 from repro.scenario.synthesis import synthesize_fleet_traces
 
+from tests.scenario.oracles import (
+    reference_spectral_synthesis,
+    timedomain_ambient,
+)
+
 SEED = 23
 
 
@@ -39,11 +45,15 @@ def _detector():
     )
 
 
-@pytest.mark.parametrize("method", ["spectral", "spectral_reference"])
-def test_chunked_z_counts_match_offline(method):
-    dep1, ship1, synth1 = _scenario(method)
-    traces = synthesize_fleet_traces(dep1, [ship1], synth1, seed=SEED)
-    dep2, ship2, synth2 = _scenario(method)
+@pytest.mark.parametrize(
+    "offline",
+    [synthesize_fleet_traces, reference_spectral_synthesis],
+    ids=["spectral", "oracle"],
+)
+def test_chunked_z_counts_match_offline(offline):
+    dep1, ship1, synth1 = _scenario("spectral")
+    traces = offline(dep1, [ship1], synth1, seed=SEED)
+    dep2, ship2, synth2 = _scenario("spectral")
     source = StreamingFleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
     Z = np.concatenate(list(source.chunks(971)), axis=1)
     for i, node in enumerate(dep2):
@@ -76,24 +86,25 @@ def test_streaming_scenario_matches_offline_spectral():
 
 
 def test_spectral_streaming_matches_reference_method_run():
-    # The slab-backed spectral stream and the chunk-evaluated
-    # spectral_reference stream digitise the same field; the full
+    # The spectral stream and the same stream with its ambient slab
+    # evaluated in the time domain digitise the same field; the full
     # detection runs must therefore agree report for report.
     det = _detector()
-    results = []
-    for method in ("spectral", "spectral_reference"):
-        dep, ship, synth = _scenario(method)
-        results.append(
-            run_streaming_scenario(
-                dep,
-                [ship],
-                detector_config=det,
-                synthesis_config=synth,
-                seed=SEED,
-                chunk_s=20.0,
-            )
+
+    def stream():
+        dep, ship, synth = _scenario("spectral")
+        return run_streaming_scenario(
+            dep,
+            [ship],
+            detector_config=det,
+            synthesis_config=synth,
+            seed=SEED,
+            chunk_s=20.0,
         )
-    a, b = results
+
+    a = stream()
+    with timedomain_ambient():
+        b = stream()
     assert a.reports_by_node == b.reports_by_node
     assert a.cluster_event == b.cluster_event
 

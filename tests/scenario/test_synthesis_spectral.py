@@ -1,9 +1,10 @@
 """`synthesis_method` selection on the fleet synthesis path.
 
-``"spectral"`` and ``"spectral_reference"`` realise the exact same
-grid-snapped ambient field and must digitise bit-identical raw counts;
-the spectral engines require one shared fleet sample grid and reject
-ragged deployments instead of silently changing the realisation.
+``"spectral"`` must digitise raw counts bit-identical to
+``reference_spectral_synthesis`` — the same grid-snapped ambient field
+evaluated through the time-domain engine; the spectral engine requires
+one shared fleet sample grid and rejects ragged deployments instead of
+silently changing the realisation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.scenario.synthesis import (
 )
 from repro.sensors.sampler import Sampler
 
+from tests.scenario.oracles import reference_spectral_synthesis
+
 SEED = 7
 
 
@@ -38,12 +41,14 @@ def _disturbances(dep: GridDeployment) -> dict:
     }
 
 
-def _synthesize(method: str, **cfg_kwargs):
+def _synthesize(
+    method: str, synthesize=synthesize_fleet_traces, **cfg_kwargs
+):
     dep = _deployment()
     cfg = SynthesisConfig(
         duration_s=60.0, synthesis_method=method, **cfg_kwargs
     )
-    return synthesize_fleet_traces(
+    return synthesize(
         dep,
         [paper_ship(dep)],
         cfg,
@@ -52,10 +57,16 @@ def _synthesize(method: str, **cfg_kwargs):
     )
 
 
+def _reference(**cfg_kwargs):
+    return _synthesize(
+        "spectral", synthesize=reference_spectral_synthesis, **cfg_kwargs
+    )
+
+
 class TestCountEquivalence:
     def test_spectral_matches_reference_bit_for_bit(self):
         spectral = _synthesize("spectral")
-        reference = _synthesize("spectral_reference")
+        reference = _reference()
         assert spectral.keys() == reference.keys()
         for nid in reference:
             assert np.array_equal(spectral[nid].z, reference[nid].z)
@@ -64,9 +75,7 @@ class TestCountEquivalence:
 
     def test_with_horizontal_axes(self):
         spectral = _synthesize("spectral", include_horizontal=True)
-        reference = _synthesize(
-            "spectral_reference", include_horizontal=True
-        )
+        reference = _reference(include_horizontal=True)
         for nid in reference:
             assert np.array_equal(spectral[nid].z, reference[nid].z)
             assert np.array_equal(spectral[nid].x, reference[nid].x)
@@ -82,7 +91,7 @@ class TestCountEquivalence:
         # Snapping moves each component by <= grid_df/2, so the snapped
         # realisation is statistically indistinguishable but not
         # bit-identical to the historical unsnapped one.
-        snapped = _synthesize("spectral_reference")
+        snapped = _reference()
         plain = _synthesize("timedomain")
         nid = next(iter(plain))
         assert not np.array_equal(snapped[nid].z, plain[nid].z)
@@ -104,10 +113,7 @@ class TestFleetPath:
         cfg = SynthesisConfig(duration_s=30.0, synthesis_method="spectral")
         spectral = synthesize_fleet_traces(dep, config=cfg, seed=SEED)
         dep2 = GridDeployment(1, 1, spacing_m=25.0, seed=3)
-        cfg2 = SynthesisConfig(
-            duration_s=30.0, synthesis_method="spectral_reference"
-        )
-        reference = synthesize_fleet_traces(dep2, config=cfg2, seed=SEED)
+        reference = reference_spectral_synthesis(dep2, config=cfg, seed=SEED)
         (za,) = [t.z for t in spectral.values()]
         (zb,) = [t.z for t in reference.values()]
         assert np.array_equal(za, zb)
@@ -132,11 +138,7 @@ class TestFleetPath:
 
 class TestConfig:
     def test_methods_registry(self):
-        assert SYNTHESIS_METHODS == (
-            "timedomain",
-            "spectral",
-            "spectral_reference",
-        )
+        assert SYNTHESIS_METHODS == ("timedomain", "spectral")
 
     @pytest.mark.parametrize("method", SYNTHESIS_METHODS)
     def test_valid_methods_accepted(self, method):
