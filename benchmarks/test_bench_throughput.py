@@ -20,6 +20,8 @@ from repro.physics.wavefield import AmbientWaveField
 from repro.rng import make_rng
 from repro.types import Position
 
+from tests.dsp.oracles import cwt_timedomain
+
 
 def test_bench_wavefield_synthesis(benchmark):
     """Ambient acceleration synthesis: 100 s at 50 Hz, 96 components."""
@@ -56,18 +58,18 @@ def test_bench_cwt_throughput(benchmark):
     assert result.power.shape == (40, 3000)
 
     # The closed-form spectral path must beat the per-scale time-domain
-    # reference by at least 2x on this workload (best of 3 to dodge
-    # scheduler noise; filter banks warm for both paths).
-    def best_of(method: str) -> float:
+    # reference oracle by at least 2x on this workload (best of 3 to
+    # dodge scheduler noise; filter banks warm for both paths).
+    def best_of(cwt) -> float:
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            cwt_morlet(x, SAMPLE_RATE_HZ, freqs, method=method)
+            cwt(x, SAMPLE_RATE_HZ, freqs)
             times.append(time.perf_counter() - start)
         return min(times)
 
-    t_spectral = best_of("spectral")
-    t_reference = best_of("timedomain")
+    t_spectral = best_of(cwt_morlet)
+    t_reference = best_of(cwt_timedomain)
     speedup = t_reference / t_spectral
     print()
     print(

@@ -19,9 +19,10 @@ arithmetic step reuses the same IEEE-754 operations in the same order
 reductions exactly), which the equivalence suite asserts across
 configurations and fault-corrupted inputs.
 
-:class:`FleetStream` runs the same walk over chunked input with carried
-baseline/init state, so synthesis can feed detection chunk by chunk
-with peak memory O(nodes x chunk) instead of O(nodes x duration).
+:class:`FleetStream` is the window walk: it runs over chunked input
+with carried baseline/init state, so synthesis can feed detection
+chunk by chunk with peak memory O(nodes x chunk) instead of
+O(nodes x duration).  A whole record is one push.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.detection.node_detector import (
-    NodeDetectorConfig,
-    window_starts,
-)
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport
 from repro.errors import (
     ConfigurationError,
@@ -318,31 +316,13 @@ class FleetDetector:
     ) -> dict[int, list[NodeReport]]:
         """Walk an ``(nodes, samples)`` preprocessed matrix in lockstep.
 
-        ``t0s`` holds each row's stream start time (rows may have
-        different clock offsets).  Returns reports keyed by node id.
+        One :meth:`FleetStream.push` of the whole matrix.  ``t0s`` holds
+        each row's stream start time (rows may have different clock
+        offsets).  Returns reports keyed by node id.
         """
-        a = np.asarray(a, dtype=float)
-        n = len(self.members)
-        if a.ndim != 2 or a.shape[0] != n:
-            raise ConfigurationError(
-                f"samples must be ({n}, S), got {a.shape}"
-            )
-        w = self.config.window_samples
-        if a.shape[1] < w:
-            raise SignalLengthError(
-                f"need at least one window ({w} samples), got {a.shape[1]}"
-            )
-        rate = self.config.rate_hz
-        reports: dict[int, list[NodeReport]] = {
-            m.node_id: [] for m in self.members
-        }
-        for start in window_starts(self.config, a.shape[1]):
-            window_t0s = [float(t0) + start / rate for t0 in t0s]
-            step_reports = self.step(a[:, start : start + w], window_t0s)
-            for i, report in enumerate(step_reports):
-                if report is not None:
-                    reports[self.members[i].node_id].append(report)
-        return reports
+        stream = self.stream(t0s)
+        stream.push(a)
+        return stream.finish()
 
 
 class FleetStream:
@@ -403,7 +383,12 @@ class FleetStream:
             )
         if c.shape[1] == 0:
             return
-        self._buf = np.concatenate([self._buf, c], axis=1)
+        # An empty buffer takes the block as is: a whole-record push
+        # holds no second copy of it.
+        if self._buf.shape[1]:
+            self._buf = np.concatenate([self._buf, c], axis=1)
+        else:
+            self._buf = c
         self._total += c.shape[1]
         cfg = self.detector.config
         w, hop = cfg.window_samples, cfg.hop_samples

@@ -15,6 +15,10 @@ Three filter kinds:
   chunkable by carrying the recursion state;
 - ``"moving-average"`` — causal FIR (what a mote would run online),
   exactly chunkable by carrying the running sum.
+
+The per-node chain is the fleet chain on one row, and the chunked
+:class:`StreamingPreprocessor` shares the fleet chain's 1 g/rectify
+tail, so only the low-pass differs between whole and chunked records.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from repro.errors import ConfigurationError
 from repro.dsp.filters import (
     StreamingCausalButter,
     StreamingMovingAverage,
-    butter_lowpass,
     butter_lowpass_batch,
-    moving_average,
     moving_average_batch,
 )
 
@@ -83,23 +85,14 @@ def lowpass_counts(
     z_counts: np.ndarray, config: PreprocessConfig
 ) -> np.ndarray:
     """Apply the configured 1 Hz low-pass to raw z counts (floats out)."""
-    z = np.asarray(z_counts, dtype=float)
-    if config.filter_kind == "butter":
-        return butter_lowpass(z, config.cutoff_hz, config.rate_hz)
-    if config.filter_kind == "butter-causal":
-        return butter_lowpass(
-            z, config.cutoff_hz, config.rate_hz, zero_phase=False
-        )
-    return moving_average(z, config.moving_average_width)
+    row = np.asarray(z_counts, dtype=float)[None, :]
+    return lowpass_counts_batch(row, config)[0]
 
 
 def lowpass_counts_batch(
     z_counts: np.ndarray, config: PreprocessConfig
 ) -> np.ndarray:
-    """:func:`lowpass_counts` over every row of ``(nodes, samples)``.
-
-    Bit-identical to filtering each node's stream on its own.
-    """
+    """:func:`lowpass_counts` over every row of ``(nodes, samples)``."""
     z = np.asarray(z_counts, dtype=float)
     if z.ndim != 2:
         raise ConfigurationError(
@@ -114,6 +107,14 @@ def lowpass_counts_batch(
     return moving_average_batch(z, config.moving_average_width)
 
 
+def _condition(filtered: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """The chain's tail after the low-pass: remove 1 g, then rectify."""
+    zero_mean = filtered - config.counts_per_g
+    if config.rectify:
+        return np.abs(zero_mean)
+    return zero_mean
+
+
 def preprocess_z_counts(
     z_counts: np.ndarray, config: PreprocessConfig | None = None
 ) -> np.ndarray:
@@ -122,12 +123,8 @@ def preprocess_z_counts(
     Returns the non-negative sample stream ``a_i`` that eqs. 4-8
     operate on.
     """
-    cfg = config if config is not None else PreprocessConfig()
-    filtered = lowpass_counts(z_counts, cfg)
-    zero_mean = filtered - cfg.counts_per_g
-    if cfg.rectify:
-        return np.abs(zero_mean)
-    return zero_mean
+    row = np.asarray(z_counts, dtype=float)[None, :]
+    return preprocess_z_counts_batch(row, config)[0]
 
 
 def preprocess_z_counts_batch(
@@ -139,11 +136,7 @@ def preprocess_z_counts_batch(
     :func:`preprocess_z_counts` on every row separately.
     """
     cfg = config if config is not None else PreprocessConfig()
-    filtered = lowpass_counts_batch(z_counts, cfg)
-    zero_mean = filtered - cfg.counts_per_g
-    if cfg.rectify:
-        return np.abs(zero_mean)
-    return zero_mean
+    return _condition(lowpass_counts_batch(z_counts, cfg), cfg)
 
 
 class StreamingPreprocessor:
@@ -180,7 +173,4 @@ class StreamingPreprocessor:
     def push(self, z_chunk: np.ndarray) -> np.ndarray:
         """Condition one ``(rows, chunk)`` block of raw z counts."""
         filtered = self._filter.push(np.asarray(z_chunk, dtype=float))
-        zero_mean = filtered - self.config.counts_per_g
-        if self.config.rectify:
-            return np.abs(zero_mean)
-        return zero_mean
+        return _condition(filtered, self.config)

@@ -4,6 +4,8 @@
 time, then filters out the frequency above 1Hz" — implemented as a
 zero-phase Butterworth low-pass (the offline analysis path) and as a
 causal moving average (the cheap on-mote path a real iMote2 would run).
+Each filter is written once for ``(rows, samples)`` blocks; the 1-D
+forms filter one row.
 """
 
 from __future__ import annotations
@@ -37,22 +39,15 @@ def butter_lowpass(
     order: int = 4,
     zero_phase: bool = True,
 ) -> np.ndarray:
-    """Butterworth low-pass filter.
+    """Butterworth low-pass filter of one signal.
 
     ``zero_phase=True`` applies the filter forward and backward
     (``filtfilt``), preserving wave-train onset times — important
     because the detector reports the onset timestamp to the cluster
     head.  ``zero_phase=False`` gives the causal single-pass variant.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size < 3 * (order + 1):
-        raise SignalLengthError(
-            f"signal too short ({x.size}) for order-{order} filtering"
-        )
-    sos = butter_sos(cutoff_hz, rate_hz, order)
-    if zero_phase:
-        return sp_signal.sosfiltfilt(sos, x)
-    return sp_signal.sosfilt(sos, x)
+    row = np.asarray(x, dtype=float)[None, :]
+    return butter_lowpass_batch(row, cutoff_hz, rate_hz, order, zero_phase)[0]
 
 
 def butter_lowpass_batch(
@@ -62,10 +57,9 @@ def butter_lowpass_batch(
     order: int = 4,
     zero_phase: bool = True,
 ) -> np.ndarray:
-    """:func:`butter_lowpass` over every row of ``(nodes, samples)``.
+    """The node low-pass over every row of ``(nodes, samples)``.
 
-    One vectorised ``axis=-1`` pass; bit-identical to filtering each
-    row on its own.
+    One vectorised ``axis=-1`` pass (see :func:`butter_lowpass`).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -88,44 +82,18 @@ def moving_average(x: np.ndarray, width: int) -> np.ndarray:
     same length as the input.  A 50-sample width at 50 Hz puts the first
     null at 1 Hz — a mote-friendly stand-in for the Butterworth filter.
     """
-    x = np.asarray(x, dtype=float)
-    if width < 1:
-        raise ConfigurationError(f"width must be >= 1, got {width}")
-    if x.size == 0:
-        return x.copy()
-    csum = np.cumsum(x)
-    out = np.empty_like(x)
-    if x.size <= width:
-        out[:] = csum / np.arange(1, x.size + 1)
-        return out
-    out[:width] = csum[:width] / np.arange(1, width + 1)
-    out[width:] = (csum[width:] - csum[:-width]) / width
-    return out
+    return moving_average_batch(np.asarray(x, dtype=float)[None, :], width)[0]
 
 
 def moving_average_batch(x: np.ndarray, width: int) -> np.ndarray:
     """:func:`moving_average` over every row of ``(nodes, samples)``.
 
-    The row-wise cumulative sum accumulates each row sequentially in
-    the same order as the 1-D path, so the output is bit-identical to
-    filtering row by row.
+    One :class:`StreamingMovingAverage` push of the whole record.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ConfigurationError(f"expected 2-D (nodes, samples), got {x.shape}")
-    if width < 1:
-        raise ConfigurationError(f"width must be >= 1, got {width}")
-    if x.shape[1] == 0:
-        return x.copy()
-    csum = np.cumsum(x, axis=1)
-    out = np.empty_like(x)
-    n = x.shape[1]
-    if n <= width:
-        out[:] = csum / np.arange(1, n + 1)
-        return out
-    out[:, :width] = csum[:, :width] / np.arange(1, width + 1)
-    out[:, width:] = (csum[:, width:] - csum[:, :-width]) / width
-    return out
+    return StreamingMovingAverage(x.shape[0], width).push(x)
 
 
 class StreamingMovingAverage:
@@ -158,6 +126,7 @@ class StreamingMovingAverage:
         if x.shape[1] == 0:
             return x.copy()
         width = self.width
+        n = x.shape[1]
         if self._seen:
             carry = self._tail[:, -1:]
             csum = np.cumsum(
@@ -165,20 +134,23 @@ class StreamingMovingAverage:
             )[:, 1:]
         else:
             csum = np.cumsum(x, axis=1)
-        idx = np.arange(self._seen, self._seen + x.shape[1])
+        # Running totals from ``width`` samples before this block's
+        # first full-width output onward.
+        ext = (
+            np.concatenate([self._tail, csum], axis=1)
+            if self._tail.shape[1]
+            else csum
+        )
         out = np.empty_like(x)
-        ramp = idx < width
-        if ramp.any():
-            out[:, ramp] = csum[:, ramp] / (idx[ramp] + 1)
-        full = ~ramp
-        if full.any():
-            ext = np.concatenate([self._tail, csum], axis=1)
-            base = self._seen - self._tail.shape[1]
-            prev = ext[:, (idx[full] - width) - base]
-            out[:, full] = (csum[:, full] - prev) / width
-        ext = np.concatenate([self._tail, csum], axis=1)
-        self._tail = ext[:, -min(width, ext.shape[1]):]
-        self._seen += x.shape[1]
+        ramp = min(max(width - self._seen, 0), n)
+        if ramp:
+            out[:, :ramp] = csum[:, :ramp] / np.arange(
+                self._seen + 1, self._seen + ramp + 1
+            )
+        if ramp < n:
+            out[:, ramp:] = (csum[:, ramp:] - ext[:, : n - ramp]) / width
+        self._tail = ext[:, -min(width, ext.shape[1]) :].copy()
+        self._seen += n
         return out
 
 

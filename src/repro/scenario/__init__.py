@@ -5,9 +5,9 @@
 - :mod:`repro.scenario.ship` — intruding-ship tracks;
 - :mod:`repro.scenario.synthesis` — per-buoy accelerometer traces
   (ambient field + Kelvin wakes + disturbances through buoy and sensor
-  models);
-- :mod:`repro.scenario.runner` — offline (radio-less) and networked
-  scenario execution;
+  models), read whole or in chunks by :class:`FleetSynthesizer`;
+- :mod:`repro.scenario.runner` — offline (radio-less), streamed and
+  networked scenario execution;
 - :mod:`repro.scenario.metrics` — detection/estimation quality metrics;
 - :mod:`repro.scenario.presets` — the canonical paper configurations.
 """
@@ -37,14 +37,12 @@ from repro.scenario.runner import (
     run_dutycycled_scenario,
     run_network_scenario,
     run_offline_scenario,
-)
-from repro.scenario.ship import ShipTrack
-from repro.scenario.streaming import (
-    StreamingFleetSynthesizer,
     run_streaming_scenario,
 )
+from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import (
     SYNTHESIS_METHODS,
+    FleetSynthesizer,
     SynthesisConfig,
     synthesize_fleet_traces,
 )
@@ -62,12 +60,12 @@ __all__ = [
     "ClassifiedAlarms",
     "DeployedNode",
     "DutyCycledScenarioResult",
+    "FleetSynthesizer",
     "GridDeployment",
     "NetworkScenarioResult",
     "OfflineScenarioResult",
     "SYNTHESIS_METHODS",
     "ShipTrack",
-    "StreamingFleetSynthesizer",
     "SynthesisConfig",
     "classify_alarms",
     "detect_and_fuse",

@@ -1,10 +1,13 @@
-"""Scenario execution: offline (radio-less), fully networked, duty-cycled.
+"""Scenario execution: offline (radio-less), streamed, fully networked,
+duty-cycled.
 
 ``run_offline_scenario`` is the controlled-experiment path used by the
 Table I / Table II / Fig. 11 benchmarks: every node's trace is
 synthesised, node-level detection runs locally, and a single temporary
 cluster fuses all reports — isolating the *detection* behaviour from
-radio losses.
+radio losses.  ``run_streaming_scenario`` is the same scenario read in
+chunks: synthesis feeds the fleet window walk without materialising a
+trace.
 
 ``run_network_scenario`` replays the same detection outcomes into each
 node's SID state machine on the full discrete-event stack (flooded
@@ -37,7 +40,11 @@ from repro.detection.node_detector import (
     merge_reports,
     window_starts,
 )
-from repro.detection.preprocess import preprocess_z_counts, preprocess_z_counts_batch
+from repro.detection.preprocess import (
+    StreamingPreprocessor,
+    preprocess_z_counts,
+    preprocess_z_counts_batch,
+)
 from repro.detection.reports import ClusterReport, NodeReport, SinkDecision
 from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
@@ -55,7 +62,11 @@ import numpy as np
 from repro.scenario.deployment import DeployedNode, GridDeployment
 from repro.sensors.accelerometer import Accelerometer
 from repro.scenario.ship import ShipTrack
-from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
+from repro.scenario.synthesis import (
+    FleetSynthesizer,
+    SynthesisConfig,
+    synthesize_fleet_traces,
+)
 from repro.telemetry.session import Telemetry, maybe_stage
 from repro.telemetry.tracer import Tracer
 from repro.types import AccelTrace, TimeWindow
@@ -74,6 +85,7 @@ __all__ = [
     "run_dutycycled_scenario",
     "run_network_scenario",
     "run_offline_scenario",
+    "run_streaming_scenario",
     "truth_windows_for",
 ]
 
@@ -341,6 +353,76 @@ def run_offline_scenario(
         track_hypothesis=track_hypothesis,
         keep_traces=keep_traces,
         telemetry=telemetry,
+    )
+
+
+def run_streaming_scenario(
+    deployment: GridDeployment,
+    ships: Sequence[ShipTrack] = (),
+    detector_config: NodeDetectorConfig | None = None,
+    cluster_config: TemporaryClusterConfig | None = None,
+    synthesis_config: SynthesisConfig | None = None,
+    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
+    track_hypothesis: TravelLine | None = None,
+    seed: RandomState = None,
+    chunk_s: float = 20.0,
+    telemetry: Optional[Telemetry] = None,
+) -> OfflineScenarioResult:
+    """The offline scenario with synthesis fused into detection.
+
+    Equivalent to :func:`run_offline_scenario` with a streamable
+    preprocessing filter (one of
+    :data:`~repro.detection.preprocess.STREAMABLE_FILTER_KINDS`), but
+    never materialises a full trace: :class:`FleetSynthesizer` chunks
+    flow through the carried-state preprocessor into the fleet window
+    walk ``chunk_s`` seconds at a time, capping peak memory at
+    O(nodes x chunk).  ``traces`` in the result is empty.
+
+    ``telemetry`` (optional) records a profiling span per streaming
+    stage (synthesize/preprocess/detect, once per chunk, plus the
+    final fusion) and traces fleet alarms; ``None`` (the default)
+    adds nothing to the run.
+    """
+    if chunk_s <= 0:
+        raise ConfigurationError(f"chunk_s must be positive, got {chunk_s}")
+    det_cfg = (
+        detector_config if detector_config is not None else NodeDetectorConfig()
+    )
+    pre = StreamingPreprocessor(len(deployment), det_cfg.preprocess)
+    source = FleetSynthesizer(
+        deployment, ships, synthesis_config, disturbances_by_node, seed
+    )
+    fleet = FleetDetector.from_deployment(deployment, det_cfg)
+    if telemetry is not None:
+        fleet.tracer = telemetry.tracer
+    stream = fleet.stream(source.t0s)
+    chunk_samples = max(int(round(chunk_s * det_cfg.rate_hz)), 1)
+    # One profiling span per streaming stage per chunk when telemetry
+    # is on; maybe_stage is a free no-op otherwise.
+    chunk_index = 0
+    while True:
+        with maybe_stage(
+            telemetry,
+            "synthesize_chunk",
+            chunk=chunk_index,
+            method=source.config.synthesis_method,
+        ):
+            z_chunk = source.next_chunk(chunk_samples)
+        if z_chunk is None:
+            break
+        with maybe_stage(telemetry, "preprocess_chunk", chunk=chunk_index):
+            a_chunk = pre.push(z_chunk)
+        with maybe_stage(telemetry, "detect_chunk", chunk=chunk_index):
+            stream.push(a_chunk)
+        chunk_index += 1
+    return _fuse_offline(
+        deployment,
+        ships,
+        stream.finish(),
+        cluster_config,
+        track_hypothesis,
+        telemetry,
+        traces={},
     )
 
 

@@ -10,6 +10,10 @@ the mote's accelerometer — producing the 50 Hz raw-count
 :class:`~repro.types.AccelTrace` the detection pipeline treats exactly
 as the paper treats its recorded data.
 
+:class:`FleetSynthesizer` owns that recipe for a whole deployment and
+reads it either as full three-axis traces or as z-only chunks that can
+feed detection without materialising a full record.
+
 The wake train at each node is evaluated at the buoy's *drifted*
 position at wake-arrival time, so the ~2 m mooring error the paper
 blames for its speed-estimation spread (Sec. V-B.2) propagates into
@@ -19,7 +23,7 @@ the timestamps here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -160,15 +164,14 @@ def wake_trains_for_node(
     return trains
 
 
-def _finish_node_trace(
+def _compose_surface(
     node: DeployedNode,
     t: np.ndarray,
     az: np.ndarray,
     trains: Sequence[WakeTrain],
     disturbances: Iterable[Disturbance],
-    horizontal: tuple[np.ndarray, np.ndarray] | None,
-) -> AccelTrace:
-    """Compose wakes and disturbances onto an ambient row and digitise.
+) -> np.ndarray:
+    """Add wake packets and disturbances onto one node's ambient row.
 
     The buoy's mechanical heave response filters what the mote feels:
     ambient components are weighted per frequency (already applied to
@@ -181,11 +184,20 @@ def _finish_node_trace(
     extra = render_disturbances(disturbances, t)
     if extra.shape == t.shape:
         az = az + extra
-    if horizontal is not None:
-        motion = node.buoy.specific_force(t, az, horizontal)
-    else:
-        motion = node.buoy.specific_force(t, az)
-    return node.mote.record(motion)
+    return az
+
+
+def _finish_node_trace(
+    node: DeployedNode,
+    t: np.ndarray,
+    az: np.ndarray,
+    trains: Sequence[WakeTrain],
+    disturbances: Iterable[Disturbance],
+    horizontal: tuple[np.ndarray, np.ndarray] | None,
+) -> AccelTrace:
+    """Compose wakes and disturbances onto an ambient row and digitise."""
+    surface = _compose_surface(node, t, az, trains, disturbances)
+    return node.mote.record(node.buoy.specific_force(t, surface, horizontal))
 
 
 def synthesize_node_trace(
@@ -217,6 +229,218 @@ def synthesize_node_trace(
     )
 
 
+class FleetSynthesizer:
+    """One fleet realisation, read whole or in z-only chunks.
+
+    The constructor fixes the realisation: the seed derivation, the
+    sample grids, the shared ambient field and every node's wake
+    trains and disturbances.  Two reads draw from it:
+
+    - :meth:`traces` is the monolithic three-axis read, one
+      :meth:`~repro.sensors.imote2.IMote2.record` per node.  On a
+      shared sample grid the ambient term is one fleet batch; motes on
+      different grids fall back to the per-node time-domain path, and
+      the spectral method (which has no per-node form) raises
+      :class:`ConfigurationError` at construction there.
+    - :meth:`next_chunk` / :meth:`chunks` yield ``(nodes, chunk)``
+      blocks of raw z counts on the shared grid.  A ragged fleet or
+      ``include_horizontal`` raises :class:`ConfigurationError` on the
+      first chunked read, before any work is done.
+
+    Chunked z counts equal :meth:`traces`' z verbatim, for any chunk
+    size:
+
+    - every synthesis term (ambient trig contraction, wake packets,
+      disturbances, the buoy's tilt projection) is a pointwise function
+      of the sample instant, so per-chunk evaluation reproduces the
+      monolithic arrays up to BLAS reduction order (absorbed by the
+      accelerometer's integer quantisation);
+    - the spectral engine's one batched inverse FFT has no per-chunk
+      form, so its ambient slab is realised once, on first use, and
+      both reads slice it: float-identical by construction, at the
+      cost of O(nodes x samples) ambient memory (wakes, disturbances
+      and digitisation stay chunked);
+    - each mote's z noise comes from a generator clone advanced to the
+      z position of its three-axis read
+      (:meth:`~repro.sensors.accelerometer.Accelerometer.axis_noise_rng`),
+      and the generator's normal stream is split-invariant, so chunked
+      draws equal the monolithic read's draws bit for bit.  After the
+      last chunk the device takes the clone's state back, so its
+      stream ends where a monolithic read leaves it.
+
+    Each read bills the produced samples to every mote's battery.
+    """
+
+    def __init__(
+        self,
+        deployment: GridDeployment,
+        ships: Sequence[ShipTrack] = (),
+        config: SynthesisConfig | None = None,
+        disturbances_by_node: dict[int, list[Disturbance]] | None = None,
+        seed: RandomState = None,
+    ) -> None:
+        cfg = config if config is not None else SynthesisConfig()
+        root = int(make_rng(seed).integers(2**31))
+        self.config = cfg
+        self.nodes = list(deployment)
+        if not self.nodes:
+            raise ConfigurationError("empty deployment")
+        self._grids = [
+            n.mote.sample_instants(cfg.t0, cfg.duration_s) for n in self.nodes
+        ]
+        self.t = self._grids[0]
+        self.shared_grid = all(
+            np.array_equal(g, self.t) for g in self._grids[1:]
+        )
+        if cfg.snaps_frequencies and not self.shared_grid:
+            raise ConfigurationError(
+                f"{cfg.synthesis_method!r} synthesis needs one shared fleet "
+                "sample grid; this deployment's motes sample on different "
+                "grids"
+            )
+        self.field = build_ambient_field(
+            cfg,
+            seed=derive_rng(root, "ambient"),
+            spectral_grid=fleet_spectral_grid(cfg, self.t),
+        )
+        wakes = [ship.wake() for ship in ships]
+        self._trains = [
+            wake_trains_for_node(n, ships, cfg, wakes=wakes)
+            for n in self.nodes
+        ]
+        dmap = disturbances_by_node or {}
+        self._disturbances = [dmap.get(n.node_id, []) for n in self.nodes]
+        self._positions = [n.anchor for n in self.nodes]
+        self._responses = [n.buoy.heave_gain for n in self.nodes]
+        #: The spectral ambient slab, realised on first use.
+        self._ambient: np.ndarray | None = None
+        #: Per-node z-noise clones, made on the first chunked read.
+        self._noise: list[np.random.Generator] | None = None
+        self._pos = 0
+
+    @property
+    def n_nodes(self) -> int:
+        """Fleet size."""
+        return len(self.nodes)
+
+    @property
+    def n_samples(self) -> int:
+        """Samples per node on the shared grid."""
+        return int(self.t.size)
+
+    @property
+    def samples_remaining(self) -> int:
+        """Samples not yet produced by chunked reads."""
+        return int(self.t.size) - self._pos
+
+    @property
+    def t0s(self) -> list[float]:
+        """Each mote's local-clock stamp of the shared grid's first sample."""
+        t0 = float(self.t[0])
+        return [float(n.mote.clock.local_time(t0)) for n in self.nodes]
+
+    def _ambient_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Every node's ambient vertical acceleration on ``t[lo:hi]``."""
+        if not self.config.snaps_frequencies:
+            return self.field.vertical_acceleration_batch(
+                self._positions, self.t[lo:hi], responses=self._responses
+            )
+        if self._ambient is None:
+            self._ambient = self.field.vertical_acceleration_batch(
+                self._positions,
+                self.t,
+                responses=self._responses,
+                method="spectral",
+            )
+        return self._ambient[:, lo:hi]
+
+    def traces(self) -> dict[int, AccelTrace]:
+        """Every node's full three-axis trace, keyed by node id."""
+        cfg = self.config
+        az_all: np.ndarray | None = None
+        h_all: tuple[np.ndarray, np.ndarray] | None = None
+        if self.shared_grid:
+            az_all = self._ambient_rows(0, self.t.size)
+            if cfg.include_horizontal:
+                h_all = self.field.horizontal_acceleration_batch(
+                    self._positions, self.t, method=cfg.synthesis_method
+                )
+        out: dict[int, AccelTrace] = {}
+        for i, node in enumerate(self.nodes):
+            t = self._grids[i]
+            horizontal = None
+            if az_all is None:
+                az = self.field.vertical_acceleration(
+                    node.anchor, t, response=node.buoy.heave_gain
+                )
+                if cfg.include_horizontal:
+                    horizontal = self.field.horizontal_acceleration(
+                        node.anchor, t
+                    )
+            else:
+                az = az_all[i]
+                if h_all is not None:
+                    horizontal = (h_all[0][i], h_all[1][i])
+            out[node.node_id] = _finish_node_trace(
+                node, t, az, self._trains[i], self._disturbances[i], horizontal
+            )
+        return out
+
+    def next_chunk(self, chunk_samples: int) -> np.ndarray | None:
+        """The next ``(nodes, <=chunk_samples)`` block of raw z counts.
+
+        Returns ``None`` once the grid is exhausted.
+        """
+        if chunk_samples < 1:
+            raise ConfigurationError(
+                f"chunk_samples must be >= 1, got {chunk_samples}"
+            )
+        if self.config.include_horizontal:
+            raise ConfigurationError(
+                "chunked reads digitise only the z axis; "
+                "include_horizontal needs traces()"
+            )
+        if not self.shared_grid:
+            raise ConfigurationError(
+                "chunked reads need one shared fleet sample grid"
+            )
+        n = self.t.size
+        if self._noise is None:
+            # The monolithic read draws x-, y- then z-noise from one
+            # stream; each clone starts at its device's z draws.
+            self._noise = [
+                node.mote.accelerometer.axis_noise_rng(2, n)
+                for node in self.nodes
+            ]
+        lo = self._pos
+        if lo >= n:
+            return None
+        hi = min(lo + chunk_samples, n)
+        t_c = self.t[lo:hi]
+        az = self._ambient_rows(lo, hi)
+        out = np.empty((len(self.nodes), hi - lo), dtype=np.int64)
+        for i, node in enumerate(self.nodes):
+            surface = _compose_surface(
+                node, t_c, az[i], self._trains[i], self._disturbances[i]
+            )
+            motion = node.buoy.specific_force(t_c, surface)
+            accel = node.mote.accelerometer
+            out[i] = accel.read_axis_chunk(motion.fz, 2, self._noise[i])
+            if hi == n:
+                accel.adopt_noise_rng(self._noise[i])
+            node.mote.battery.draw_samples(hi - lo)
+        self._pos = hi
+        return out
+
+    def chunks(self, chunk_samples: int) -> Iterator[np.ndarray]:
+        """Iterate the rest of the grid in ``chunk_samples`` blocks."""
+        while True:
+            block = self.next_chunk(chunk_samples)
+            if block is None:
+                return
+            yield block
+
+
 def synthesize_fleet_traces(
     deployment: GridDeployment,
     ships: Sequence[ShipTrack] = (),
@@ -226,8 +450,8 @@ def synthesize_fleet_traces(
 ) -> dict[int, AccelTrace]:
     """Traces for every node of a deployment, sharing one ambient field.
 
-    The ambient contribution is synthesised for the whole fleet at
-    once.  Under the default ``synthesis_method="timedomain"`` that is
+    :meth:`FleetSynthesizer.traces`.  Under the default
+    ``synthesis_method="timedomain"`` the ambient term is
     :meth:`AmbientWaveField.vertical_acceleration_batch`: the
     (components x samples) trig matrices are computed once and each
     node reduces to two BLAS contractions.  ``"spectral"`` snaps the
@@ -236,69 +460,10 @@ def synthesize_fleet_traces(
     workload), digitising counts bit-identical to the time-domain engine
     over the same snapped field.  Each ship's Kelvin wake is built once
     per scenario rather than once per node.
-
-    Nodes whose motes do not share one fleet sample grid fall back to
-    the per-node time-domain path; the spectral method has no per-node
-    form and raises :class:`ConfigurationError` there.
     """
-    cfg = config if config is not None else SynthesisConfig()
-    base = make_rng(seed)
-    root = int(base.integers(2**31))
-    disturbances_by_node = disturbances_by_node or {}
-    nodes = list(deployment)
-    wakes = [ship.wake() for ship in ships]
-    if not nodes:
-        return {}
-    grids = [n.mote.sample_instants(cfg.t0, cfg.duration_s) for n in nodes]
-    shared_grid = all(np.array_equal(g, grids[0]) for g in grids[1:])
-    if cfg.snaps_frequencies and not shared_grid:
-        raise ConfigurationError(
-            f"{cfg.synthesis_method!r} synthesis needs one shared fleet "
-            "sample grid; this deployment's motes sample on different "
-            "grids"
-        )
-    field = build_ambient_field(
-        cfg,
-        seed=derive_rng(root, "ambient"),
-        spectral_grid=fleet_spectral_grid(cfg, grids[0]),
-    )
-    if shared_grid:
-        t = grids[0]
-        az_all = field.vertical_acceleration_batch(
-            [n.anchor for n in nodes],
-            t,
-            responses=[n.buoy.heave_gain for n in nodes],
-            method=cfg.synthesis_method,
-        )
-        h_all = (
-            field.horizontal_acceleration_batch(
-                [n.anchor for n in nodes], t, method=cfg.synthesis_method
-            )
-            if cfg.include_horizontal
-            else None
-        )
-        return {
-            node.node_id: _finish_node_trace(
-                node,
-                t,
-                az_all[i],
-                wake_trains_for_node(node, ships, cfg, wakes=wakes),
-                disturbances_by_node.get(node.node_id, []),
-                (h_all[0][i], h_all[1][i]) if h_all is not None else None,
-            )
-            for i, node in enumerate(nodes)
-        }
-    return {
-        node.node_id: synthesize_node_trace(
-            node,
-            field,
-            ships,
-            disturbances_by_node.get(node.node_id, []),
-            cfg,
-            wakes=wakes,
-        )
-        for node in nodes
-    }
+    return FleetSynthesizer(
+        deployment, ships, config, disturbances_by_node, seed
+    ).traces()
 
 
 def random_disturbances(

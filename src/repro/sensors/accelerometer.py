@@ -80,17 +80,7 @@ class Accelerometer:
 
         ``axis`` is 0 (x), 1 (y) or 2 (z) and selects which bias applies.
         """
-        if axis not in (0, 1, 2):
-            raise ConfigurationError(f"axis must be 0, 1 or 2, got {axis}")
-        ideal = self.mps2_to_counts(accel_mps2)
-        noisy = (
-            ideal
-            + self._bias[axis]
-            + self._noise_rng.normal(0.0, self.spec.noise_rms_counts, ideal.shape)
-        )
-        limit = self.spec.max_counts
-        clipped = np.clip(noisy, -limit, limit)
-        return np.rint(clipped).astype(np.int64)
+        return self.read_axis_chunk(accel_mps2, axis, self._noise_rng)
 
     def read(
         self,
@@ -135,13 +125,24 @@ class Accelerometer:
             skip -= block
         return rng
 
+    def adopt_noise_rng(self, noise_rng: np.random.Generator) -> None:
+        """Continue the device's noise stream from a drained z-axis clone.
+
+        Once every chunk of a z-axis read from :meth:`axis_noise_rng`
+        has been drawn, the clone stands where a monolithic :meth:`read`
+        of the same record leaves the device stream (z is drawn last).
+        The device takes that state over, so its next read draws what
+        it would have drawn after the monolithic read.
+        """
+        self._noise_rng.bit_generator.state = noise_rng.bit_generator.state
+
     def read_axis_chunk(
         self,
         accel_mps2: npt.ArrayLike,
         axis: int,
         noise_rng: np.random.Generator,
     ) -> np.ndarray:
-        """:meth:`read_axis` drawing noise from an external stream.
+        """:meth:`read_axis` drawing noise from ``noise_rng``.
 
         Used with :meth:`axis_noise_rng` to digitise one axis chunk by
         chunk; successive chunks reproduce a monolithic read of that

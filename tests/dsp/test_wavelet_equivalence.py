@@ -1,8 +1,8 @@
 """Spectral-domain CWT must match the time-domain reference.
 
-The spectral path evaluates the closed-form Fourier transform of the
-Morlet; the time-domain path samples, truncates and FFT-convolves each
-kernel.  On any signal the two must agree far inside the acceptance
+``cwt_morlet`` evaluates the closed-form Fourier transform of the
+Morlet; the time-domain oracle (``tests/dsp/oracles.py``) samples,
+truncates and FFT-convolves each kernel.  On any signal the two must agree far inside the acceptance
 tolerance (rtol 1e-6 of the peak power) — white noise exercises every
 frequency at once, a crossing chirp exercises scale localisation, and
 a Kelvin wake packet is the signal the detector actually hunts.
@@ -11,24 +11,22 @@ a Kelvin wake packet is the signal the detector actually hunts.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.dsp.wavelet import (
     _morlet_filter_bank,
     cwt_morlet,
 )
-from repro.errors import ConfigurationError
 from repro.physics.wake_train import WakeTrain
+
+from tests.dsp.oracles import cwt_timedomain
 
 RATE = 50.0
 FREQS = np.geomspace(0.1, 5.0, 24)
 
 
 def _assert_paths_agree(x: np.ndarray, freqs=FREQS, rtol: float = 1e-6):
-    spectral = cwt_morlet(x, RATE, frequencies_hz=freqs, method="spectral")
-    reference = cwt_morlet(
-        x, RATE, frequencies_hz=freqs, method="timedomain"
-    )
+    spectral = cwt_morlet(x, RATE, frequencies_hz=freqs)
+    reference = cwt_timedomain(x, RATE, frequencies_hz=freqs)
     peak = reference.power.max()
     err = np.abs(spectral.power - reference.power).max()
     assert err < rtol * peak, f"max deviation {err:.3e} vs peak {peak:.3e}"
@@ -68,19 +66,6 @@ def test_equivalence_across_seeds_and_lengths():
     for seed, n in ((1, 500), (2, 1777), (3, 4096)):
         rng = np.random.default_rng(seed)
         _assert_paths_agree(rng.standard_normal(n), freqs=FREQS[::4])
-
-
-def test_spectral_is_default_method():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(1000)
-    default = cwt_morlet(x, RATE, frequencies_hz=FREQS)
-    spectral = cwt_morlet(x, RATE, frequencies_hz=FREQS, method="spectral")
-    assert np.array_equal(default.power, spectral.power)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ConfigurationError):
-        cwt_morlet(np.zeros(64), RATE, method="fastest")
 
 
 def test_filter_bank_is_cached_across_calls():

@@ -18,12 +18,12 @@ from repro.detection.node_detector import NodeDetectorConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.scenario.presets import paper_scenario
-from repro.scenario.runner import run_network_scenario, run_offline_scenario
-from repro.scenario.streaming import (
-    StreamingFleetSynthesizer,
+from repro.scenario.runner import (
+    run_network_scenario,
+    run_offline_scenario,
     run_streaming_scenario,
 )
-from repro.scenario.synthesis import synthesize_fleet_traces
+from repro.scenario.synthesis import FleetSynthesizer, synthesize_fleet_traces
 
 from tests.scenario.oracles import (
     reference_network,
@@ -211,7 +211,7 @@ class TestStreamingSynthesizer:
         dep1, ship1, synth1 = _scenario()
         traces = synthesize_fleet_traces(dep1, [ship1], synth1, seed=SEED)
         dep2, ship2, synth2 = _scenario()
-        source = StreamingFleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
+        source = FleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
         chunks = list(source.chunks(971))
         Z = np.concatenate(chunks, axis=1)
         for i, node in enumerate(dep2):
@@ -223,12 +223,13 @@ class TestStreamingSynthesizer:
     def test_horizontal_axes_rejected(self):
         dep, ship, synth = _scenario()
         synth = replace(synth, include_horizontal=True)
+        source = FleetSynthesizer(dep, [ship], synth, seed=SEED)
         with pytest.raises(ConfigurationError, match="z axis"):
-            StreamingFleetSynthesizer(dep, [ship], synth, seed=SEED)
+            source.next_chunk(4096)
 
     def test_exhausted_source_returns_none(self):
         dep, ship, synth = _scenario()
-        source = StreamingFleetSynthesizer(dep, [ship], synth, seed=SEED)
+        source = FleetSynthesizer(dep, [ship], synth, seed=SEED)
         while source.next_chunk(4096) is not None:
             pass
         assert source.samples_remaining == 0

@@ -16,12 +16,8 @@ import pytest
 
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.scenario.presets import paper_scenario
-from repro.scenario.runner import run_offline_scenario
-from repro.scenario.streaming import (
-    StreamingFleetSynthesizer,
-    run_streaming_scenario,
-)
-from repro.scenario.synthesis import synthesize_fleet_traces
+from repro.scenario.runner import run_offline_scenario, run_streaming_scenario
+from repro.scenario.synthesis import FleetSynthesizer, synthesize_fleet_traces
 
 from tests.scenario.oracles import (
     reference_spectral_synthesis,
@@ -54,7 +50,7 @@ def test_chunked_z_counts_match_offline(offline):
     dep1, ship1, synth1 = _scenario("spectral")
     traces = offline(dep1, [ship1], synth1, seed=SEED)
     dep2, ship2, synth2 = _scenario("spectral")
-    source = StreamingFleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
+    source = FleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
     Z = np.concatenate(list(source.chunks(971)), axis=1)
     for i, node in enumerate(dep2):
         assert np.array_equal(Z[i], traces[node.node_id].z)
@@ -111,9 +107,11 @@ def test_spectral_streaming_matches_reference_method_run():
 
 def test_timedomain_streaming_keeps_chunked_ambient():
     dep, ship, synth = _scenario("timedomain")
-    source = StreamingFleetSynthesizer(dep, [ship], synth, seed=SEED)
+    source = FleetSynthesizer(dep, [ship], synth, seed=SEED)
+    source.next_chunk(971)
     assert source._ambient is None
     dep2, ship2, synth2 = _scenario("spectral")
-    slab = StreamingFleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
+    slab = FleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
+    slab.next_chunk(971)
     assert slab._ambient is not None
     assert slab._ambient.shape == (slab.n_nodes, slab.n_samples)

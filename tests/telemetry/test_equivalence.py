@@ -30,8 +30,8 @@ from repro.scenario.runner import (
     run_dutycycled_scenario,
     run_network_scenario,
     run_offline_scenario,
+    run_streaming_scenario,
 )
-from repro.scenario.streaming import run_streaming_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
 from repro.telemetry import (
