@@ -1,11 +1,11 @@
 """Fleet detection throughput — lockstep walk vs per-node window loop.
 
-The scenario runners historically looped :class:`NodeDetector` over the
-fleet, paying the Python window walk once per node.
-:class:`FleetDetector` swaps the loops — one walk over windows with
-``(nodes,)``-shaped vector steps — and must be **bit-identical** to the
-per-node reference while running at least 5x faster on the 64-node /
-400 s workload.  The chunked :class:`FleetStream` driver additionally
+The reference loops the scalar eq. 4-8 detector
+(:class:`tests.detection.oracles.ScalarNodeDetector`) over the fleet,
+paying the Python window walk once per node.  :class:`FleetDetector`
+swaps the loops — one walk over windows with ``(nodes,)``-shaped vector
+steps — and must be **bit-identical** to that reference while running
+at least 5x faster on the 64-node / 400 s workload.  The chunked :class:`FleetStream` driver additionally
 bounds peak detection memory by O(nodes x chunk), not
 O(nodes x duration), which the tracemalloc test pins down.
 """
@@ -18,9 +18,11 @@ import tracemalloc
 import numpy as np
 
 from repro.detection.fleet import FleetDetector, FleetMember, FleetStream
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.rng import make_rng
 from repro.types import Position
+
+from tests.detection.oracles import ScalarNodeDetector
 
 RATE_HZ = 50.0
 DURATION_S = 400.0
@@ -64,7 +66,7 @@ def _t0s(n: int) -> list[float]:
 def _reference(a, t0s, cfg, members):
     out = {}
     for i, m in enumerate(members):
-        det = NodeDetector(
+        det = ScalarNodeDetector(
             m.node_id, m.position, cfg, row=m.row, column=m.column
         )
         out[m.node_id] = det.process_samples(a[i], t0s[i])
@@ -127,7 +129,7 @@ def test_bench_fleet_detection_256(once):
     assert any(m.node_id % 2 == 0 for m in sampled)
     assert any(m.node_id % 2 == 1 for m in sampled)
     for m in sampled:
-        det = NodeDetector(
+        det = ScalarNodeDetector(
             m.node_id, m.position, cfg, row=m.row, column=m.column
         )
         assert fleet[m.node_id] == det.process_samples(

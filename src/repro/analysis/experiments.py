@@ -16,7 +16,9 @@ import numpy as np
 
 from repro.constants import ACCEL_COUNTS_PER_G, SAMPLE_RATE_HZ
 from repro.detection.correlation import cluster_correlation, majority_side
+from repro.detection.fleet import FleetDetector
 from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.preprocess import preprocess_z_counts_batch
 from repro.detection.reports import NodeReport, RowObservation
 from repro.detection.speed import SpeedEstimate, estimate_ship_speed
 from repro.dsp.features import (
@@ -672,7 +674,11 @@ def run_threshold_ablation(
     """
     from repro.physics.spectrum import SeaState
 
-    counts = {"adaptive": 0, "fixed": 0}
+    configs = {
+        label: NodeDetectorConfig(m=m, af_threshold=af, beta1=beta, beta2=beta)
+        for label, beta in (("adaptive", 0.99), ("fixed", 1.0))
+    }
+    counts = {label: 0 for label in configs}
     node_hours = 0.0
     half_s = 300.0
     for seed in seeds:
@@ -689,6 +695,7 @@ def run_threshold_ablation(
         rough_field = build_ambient_field(
             rough_cfg, seed=derive_rng(root, "rough")
         )
+        traces = []
         for node in dep:
             t1 = node.mote.sample_instants(0.0, half_s)
             t2 = node.mote.sample_instants(half_s, half_s)
@@ -704,22 +711,19 @@ def run_threshold_ablation(
             )
             t = np.concatenate([t1, t2])
             motion = node.buoy.specific_force(t, az)
-            trace = node.mote.record(motion)
-            from repro.detection.node_detector import NodeDetector
-
-            for label, betas in (("adaptive", (0.99, 0.99)), ("fixed", (1.0, 1.0))):
-                det = NodeDetector(
-                    node.node_id,
-                    node.anchor,
-                    NodeDetectorConfig(
-                        m=m, af_threshold=af, beta1=betas[0], beta2=betas[1]
-                    ),
-                )
-                reports = det.process_trace(trace)
+            traces.append(node.mote.record(motion))
+            node_hours += (half_s - 30.0) / 3600.0
+        a = preprocess_z_counts_batch(
+            np.stack([trace.z for trace in traces]),
+            configs["adaptive"].preprocess,
+        )
+        t0s = [trace.t0 for trace in traces]
+        for label, cfg in configs.items():
+            fleet = FleetDetector.from_deployment(dep, cfg)
+            for reports in fleet.process_samples(a, t0s).values():
                 counts[label] += sum(
                     1 for r in reports if r.onset_time >= half_s + 30.0
                 )
-            node_hours += (half_s - 30.0) / 3600.0
     return {
         "adaptive_false_per_node_hour": counts["adaptive"] / node_hours,
         "fixed_false_per_node_hour": counts["fixed"] / node_hours,

@@ -1,23 +1,23 @@
-"""Fleet-vectorized node detection (eqs. 4-8 in lockstep).
+"""Node-level detection, eqs. 4-8, for a whole fleet in lockstep.
 
-:class:`~repro.detection.node_detector.NodeDetector` walks one node's
-stream window by window in pure Python; a scenario runner then loops
-that walk over every node.  For a fleet sharing one sample grid the two
-loops can be swapped: :class:`FleetDetector` advances *all* N nodes
-through the Delta-t window walk in lockstep — one outer loop over
-windows, with the deviations ``D_i``, the ``D_max = M m'_T`` threshold,
-the anomaly frequency ``af`` and the eq.-5 baseline update computed as
+:class:`FleetDetector` advances *all* N nodes through the Delta-t
+window walk in lockstep — one outer loop over windows, with the
+deviations ``D_i``, the ``D_max = M m'_T`` threshold, the anomaly
+frequency ``af`` and the eq.-5 baseline update computed as
 ``(nodes,)``-shaped vectors per step.  The data-dependent branch (quiet
 windows update the baseline, anomalous windows report) becomes a pair
-of boolean row masks; the rare report rows drop back to the scalar
-formulas so the crossing energy keeps the reference implementation's
-exact compacted-sum rounding.
+of boolean row masks; the rare report rows take a per-row crossing
+energy so it keeps the compacted-sum rounding of the literal eq. 8.
 
-The engine is **bit-identical** to the per-node reference: every
-arithmetic step reuses the same IEEE-754 operations in the same order
-(row-wise reductions over C-contiguous rows match the per-row scalar
-reductions exactly), which the equivalence suite asserts across
-configurations and fault-corrupted inputs.
+:meth:`FleetDetector.step` is the library's only implementation of
+eqs. 4-8: the runners drive it per sample-grid group, and
+:class:`~repro.detection.node_detector.NodeDetector` is a one-row
+fleet.  It is **bit-identical** to the literal per-node formulation
+(the scalar oracle in ``tests/detection/oracles.py``): every arithmetic
+step reuses the same IEEE-754 operations in the same order (row-wise
+reductions over C-contiguous rows match the per-row scalar reductions
+exactly), which the equivalence suite asserts across configurations
+and fault-corrupted inputs.
 
 :class:`FleetStream` is the window walk: it runs over chunked input
 with carried baseline/init state, so synthesis can feed detection
@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class FleetMember:
-    """Identity of one detector row (mirrors NodeDetector's identity)."""
+    """Identity of one detector row: the node a report names."""
 
     node_id: int
     position: Position
@@ -63,8 +63,8 @@ class FleetDetector:
     Rows correspond to ``members`` in order.  :meth:`step` consumes one
     ``(nodes, window)`` matrix of preprocessed samples; rows excluded by
     the ``active`` mask are left completely untouched (their baselines
-    neither update nor observe the window) — exactly what happens to a
-    crashed or sleeping node in the per-node runners.
+    neither update nor observe the window), as a crashed or sleeping
+    node's detector never sees it.
     """
 
     def __init__(
@@ -128,9 +128,9 @@ class FleetDetector:
     def reset(self, rows: Sequence[int]) -> None:
         """Forget the baseline state of ``rows`` (a cold restart).
 
-        Row-wise :meth:`NodeDetector.reset`: the eq.-4/5 mean and std,
-        the seeded flag and the init buffer are cleared, so each row
-        re-seeds from its next ``init_windows`` evaluated windows.
+        The eq.-4/5 mean and std, the seeded flag and the init buffer
+        are cleared, so each row re-seeds from its next
+        ``init_windows`` evaluated windows.
         """
         for i in rows:
             self._mean[i] = 0.0
@@ -176,8 +176,7 @@ class FleetDetector:
         out: list[NodeReport | None] = [None] * n
 
         # Initialization: buffer windows until each row has enough to
-        # seed its eq.-4 statistics (same concatenate-then-stats order
-        # as NodeDetector, so the seed values match bit for bit).
+        # seed its eq.-4 statistics over their concatenation.
         init_rows = np.flatnonzero(act & ~self._seeded)
         for i in init_rows:
             buf = self._init_buffers[i]
@@ -194,8 +193,7 @@ class FleetDetector:
         rows = np.flatnonzero(act & self._seeded)
         if init_rows.size:
             # Rows seeded *this* window only buffered it; they start
-            # detecting on the next one (NodeDetector returns None from
-            # the seeding call).
+            # detecting on the next one.
             rows = np.setdiff1d(rows, init_rows, assume_unique=True)
         if rows.size == 0:
             return out
@@ -215,8 +213,7 @@ class FleetDetector:
         af = counts / w.shape[1]
         reporting = af > self.config.af_threshold
 
-        # Quiet rows: batched eq.-5 baseline update (same op order as
-        # AdaptiveBaseline.update, elementwise).
+        # Quiet rows: batched eq.-5 baseline update, elementwise.
         quiet = ~reporting
         if np.any(quiet):
             q = w_act[quiet]
@@ -227,8 +224,8 @@ class FleetDetector:
             self._mean[qi] = beta1 * self._mean[qi] + m_dt * (1.0 - beta1)
             self._std[qi] = beta2 * self._std[qi] + d_dt * (1.0 - beta2)
 
-        # Report rows: scalar per row, replicating the reference's
-        # compacted-sum crossing energy (eq. 8) and onset index exactly.
+        # Report rows: scalar per row, so the crossing energy (eq. 8)
+        # is the compacted sum over the row's crossings.
         for j in np.flatnonzero(reporting):
             i = int(rows[j])
             mask_row = mask[j]

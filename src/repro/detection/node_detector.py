@@ -8,6 +8,12 @@ deviations ``D_i`` against the adaptive baseline, the anomaly frequency
 predefined threshold produces a :class:`NodeReport` carrying the onset
 timestamp and the energy; a quiet window instead feeds the eq.-5
 baseline update.
+
+This module holds the detector's configuration, its window walk
+(:func:`window_starts`), report merging and the single-node API
+:class:`NodeDetector`.  The eq. 4-8 arithmetic itself lives once, in
+:meth:`repro.detection.fleet.FleetDetector.step`; a
+:class:`NodeDetector` is a one-row fleet.
 """
 
 from __future__ import annotations
@@ -17,17 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import BETA_1, BETA_2, SAMPLE_RATE_HZ
-from repro.detection.adaptive import AdaptiveBaseline
-from repro.detection.anomaly import (
-    anomaly_frequency,
-    crossing_energy,
-    crossing_mask,
-    deviations,
-    onset_index,
-)
 from repro.detection.preprocess import PreprocessConfig, preprocess_z_counts
 from repro.detection.reports import NodeReport
-from repro.errors import ConfigurationError, InternalError, SignalLengthError
+from repro.errors import ConfigurationError
 from repro.types import AccelTrace, Position
 
 
@@ -113,11 +111,13 @@ def window_starts(config: NodeDetectorConfig, n_samples: int) -> list[int]:
 
 
 class NodeDetector:
-    """The per-node detection state machine.
+    """One node's detector: a one-row :class:`FleetDetector`.
 
-    Use :meth:`process_trace` for a full offline record, or
-    :meth:`process_window` to stream preprocessed windows (the form the
-    network-driven scenario runner uses).
+    Use :meth:`process_trace` for a full offline record,
+    :meth:`process_samples` for a preprocessed stream, or
+    :meth:`process_window` to step one preprocessed window.  Every
+    window goes through :meth:`FleetDetector.step`, the library's only
+    implementation of eqs. 4-8.
     """
 
     def __init__(
@@ -128,31 +128,27 @@ class NodeDetector:
         row: int = 0,
         column: int = 0,
     ) -> None:
+        # fleet.py imports NodeDetectorConfig from this module.
+        from repro.detection.fleet import FleetDetector, FleetMember
+
         self.node_id = node_id
         self.position = position
         self.config = config if config is not None else NodeDetectorConfig()
         self.row = row
         self.column = column
-        self.baseline = AdaptiveBaseline(
-            beta1=self.config.beta1, beta2=self.config.beta2
+        self._fleet = FleetDetector(
+            [FleetMember(node_id, position, row, column)], self.config
         )
-        self._init_buffer: list[np.ndarray] = []
 
     @property
     def initialized(self) -> bool:
         """True once the adaptive baseline has been seeded."""
-        return self.baseline.seeded
+        return bool(self._fleet.seeded[0])
 
     def reset(self) -> None:
         """Forget all baseline state (fresh deployment)."""
-        self.baseline = AdaptiveBaseline(
-            beta1=self.baseline.beta1, beta2=self.baseline.beta2
-        )
-        self._init_buffer = []
+        self._fleet.reset([0])
 
-    # ------------------------------------------------------------------
-    # Streaming interface
-    # ------------------------------------------------------------------
     def process_window(
         self, a_window: np.ndarray, t0: float
     ) -> NodeReport | None:
@@ -162,60 +158,15 @@ class NodeDetector:
         otherwise.  Windows arriving before initialization completes
         only accumulate baseline statistics.
         """
-        a = np.asarray(a_window, dtype=float)
-        if a.size == 0:
-            raise SignalLengthError("empty detection window")
-        if not self.baseline.seeded:
-            self._init_buffer.append(a)
-            if len(self._init_buffer) >= self.config.init_windows:
-                self.baseline.seed(np.concatenate(self._init_buffer))
-                self._init_buffer = []
-            return None
-        d = deviations(a, self.baseline.std)
-        d_max = self.baseline.threshold(self.config.m)
-        mask = crossing_mask(d, d_max)
-        af = anomaly_frequency(mask)
-        if af > self.config.af_threshold:
-            onset = onset_index(mask)
-            if onset is None:  # af > 0 implies at least one crossing
-                raise InternalError(
-                    "anomalous window with no crossing onset (af "
-                    f"{af} > {self.config.af_threshold} but empty mask)"
-                )
-            return NodeReport(
-                node_id=self.node_id,
-                position=self.position,
-                onset_time=t0 + onset / self.config.rate_hz,
-                energy=crossing_energy(d, mask),
-                anomaly_frequency=af,
-                row=self.row,
-                column=self.column,
-            )
-        self.baseline.update(a)
-        return None
+        a = np.asarray(a_window, dtype=float).reshape(1, -1)
+        return self._fleet.step(a, [t0])[0]
 
-    # ------------------------------------------------------------------
-    # Offline interface
-    # ------------------------------------------------------------------
     def process_samples(
         self, a: np.ndarray, t0: float
     ) -> list[NodeReport]:
         """Walk an already-preprocessed stream window by window."""
-        a = np.asarray(a, dtype=float)
-        w = self.config.window_samples
-        if a.size < w:
-            raise SignalLengthError(
-                f"need at least one window ({w} samples), got {a.size}"
-            )
-        reports: list[NodeReport] = []
-        for start in window_starts(self.config, a.size):
-            seg = a[start : start + w]
-            report = self.process_window(
-                seg, t0 + start / self.config.rate_hz
-            )
-            if report is not None:
-                reports.append(report)
-        return reports
+        a = np.asarray(a, dtype=float).reshape(1, -1)
+        return self._fleet.process_samples(a, [t0])[self.node_id]
 
     def process_trace(self, trace: AccelTrace) -> list[NodeReport]:
         """Preprocess a raw count trace (Sec. IV-B) and detect on it."""

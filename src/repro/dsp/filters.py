@@ -69,9 +69,20 @@ def butter_lowpass_batch(
             f"signal too short ({x.shape[1]}) for order-{order} filtering"
         )
     sos = butter_sos(cutoff_hz, rate_hz, order)
-    if zero_phase:
-        return sp_signal.sosfiltfilt(sos, x, axis=-1)
-    return sp_signal.sosfilt(sos, x, axis=-1)
+    if not zero_phase:
+        return sp_signal.sosfilt(sos, x, axis=-1)
+    # sosfiltfilt pads each edge by 3x the cascade's taps (a first-order
+    # section has one tap less) and needs more samples than that.
+    n_taps = 2 * len(sos) + 1 - min(
+        int(np.count_nonzero(sos[:, 2] == 0)),
+        int(np.count_nonzero(sos[:, 5] == 0)),
+    )
+    if x.shape[1] <= 3 * n_taps:
+        raise SignalLengthError(
+            f"signal too short ({x.shape[1]}) for order-{order} zero-phase "
+            f"filtering: needs more than {3 * n_taps} samples"
+        )
+    return sp_signal.sosfiltfilt(sos, x, axis=-1)
 
 
 def moving_average(x: np.ndarray, width: int) -> np.ndarray:

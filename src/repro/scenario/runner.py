@@ -18,7 +18,8 @@ Node-level detection is local to each buoy, so every runner evaluates
 it with the lockstep :class:`FleetDetector`, one group per sample grid.
 ``run_dutycycled_scenario`` steps its groups in batches of equal window
 start time, so sentinel alarms wake the fleet in the per-node order.
-The per-node :class:`NodeDetector` walks live in the tests as oracles.
+The per-node walks, over the scalar eq. 4-8 detector, live in the tests
+as oracles.
 """
 
 from __future__ import annotations

@@ -4,11 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.physics.spectrum import PiersonMoskowitzSpectrum, SeaState
 from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.types import Position
+
+#: ``--hypothesis-profile=deep`` (a CI step) runs each generated
+#: differential test with this many examples; tier-1 keeps the bounded
+#: counts they declare through :func:`examples`.
+settings.register_profile("deep", max_examples=400)
+
+
+def examples(tier1: int) -> int:
+    """A generated test's example budget: ``tier1``, or the deep
+    profile's while ``--hypothesis-profile=deep`` is loaded."""
+    deep = settings.get_profile("deep")
+    return deep.max_examples if settings.default is deep else tier1
 
 
 @pytest.fixture

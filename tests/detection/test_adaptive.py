@@ -1,4 +1,4 @@
-"""Tests for the adaptive baseline (eqs. 4-5)."""
+"""Tests for the scalar oracle's adaptive baseline (eqs. 4-5)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SignalLengthError
-from repro.detection.adaptive import AdaptiveBaseline, window_stats
+
+from tests.detection.oracles import AdaptiveBaseline, window_stats
 
 
 class TestWindowStats:

@@ -1,4 +1,5 @@
-"""Tests for deviations / crossings / anomaly frequency (eqs. 6-8)."""
+"""Tests for the scalar oracle's deviations / crossings / anomaly
+frequency (eqs. 6-8)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SignalLengthError
-from repro.detection.anomaly import (
+
+from tests.detection.oracles import (
     anomaly_frequency,
     crossing_energy,
     crossing_mask,

@@ -2,8 +2,9 @@
 
 The fleet-vectorized detector's contract is *bit-identical* reports:
 every test here compares :class:`FleetDetector` (and its chunked
-:class:`FleetStream` driver) against per-node :class:`NodeDetector`
-walks with ``==`` on whole report lists — no tolerances.
+:class:`FleetStream` driver) against the scalar oracle's per-node walks
+(:class:`tests.detection.oracles.ScalarNodeDetector`) with ``==`` on
+whole report lists — no tolerances.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import numpy as np
 import pytest
 
 from repro.detection.fleet import FleetDetector, FleetMember, FleetStream
-from repro.detection.node_detector import (
-    NodeDetector,
-    NodeDetectorConfig,
-    window_starts,
-)
+from repro.detection.node_detector import NodeDetectorConfig, window_starts
 from repro.errors import ConfigurationError, SignalLengthError
 from repro.rng import make_rng
 from repro.types import Position
+
+from tests.detection.oracles import ScalarNodeDetector
 
 
 def make_members(n: int) -> list[FleetMember]:
@@ -60,7 +59,7 @@ def reference_reports(
 ) -> dict[int, list]:
     out = {}
     for i, m in enumerate(members):
-        det = NodeDetector(
+        det = ScalarNodeDetector(
             m.node_id, m.position, cfg, row=m.row, column=m.column
         )
         out[m.node_id] = det.process_samples(a[i], t0s[i])
@@ -153,7 +152,7 @@ class TestFleetDetectorEquivalence:
                     got[m.node_id].append(r)
         want = {}
         for i, m in enumerate(members):
-            det = NodeDetector(
+            det = ScalarNodeDetector(
                 m.node_id, m.position, cfg, row=m.row, column=m.column
             )
             reports = []
@@ -172,7 +171,7 @@ class TestFleetDetectorEquivalence:
     @pytest.mark.parametrize("init_windows", [1, 3])
     def test_row_reset_matches_node_reset(self, init_windows):
         # Resetting rows mid-walk (a cold restart) must equal calling
-        # NodeDetector.reset on the same nodes: each re-seeds from its
+        # the scalar reset on the same nodes: each re-seeds from its
         # next init_windows windows and detects identically afterwards.
         # Resets land on a seeded row, on a row still buffering its
         # init windows, and twice on the same row.
@@ -185,7 +184,9 @@ class TestFleetDetectorEquivalence:
         resets = {1: [2], 6: [0, 3], 9: [3], 20: [1, 4]}
         fleet = FleetDetector(members, cfg)
         detectors = [
-            NodeDetector(m.node_id, m.position, cfg, row=m.row, column=m.column)
+            ScalarNodeDetector(
+                m.node_id, m.position, cfg, row=m.row, column=m.column
+            )
             for m in members
         ]
         got: dict[int, list] = {m.node_id: [] for m in members}

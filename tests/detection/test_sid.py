@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.detection.cluster import TemporaryClusterConfig
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport
 from repro.detection.sid import (
     CancelClusterAction,
@@ -20,6 +20,7 @@ from repro.detection.sid import (
 )
 from repro.types import Position
 
+from tests.detection.oracles import ScalarNodeDetector
 from tests.scenario.oracles import feed_window
 
 
@@ -44,7 +45,7 @@ def _node(node_id=0, **kw):
     cfg = _config(**kw)
     return (
         SIDNode(node_id, Position(0, 0), cfg),
-        NodeDetector(node_id, Position(0, 0), cfg.detector),
+        ScalarNodeDetector(node_id, Position(0, 0), cfg.detector),
     )
 
 

@@ -9,6 +9,7 @@ from repro.constants import ACCEL_COUNTS_PER_G
 from repro.errors import ConfigurationError, SignalLengthError
 from repro.dsp.filters import (
     butter_lowpass,
+    butter_lowpass_batch,
     detrend_mean,
     moving_average,
     remove_gravity,
@@ -47,6 +48,30 @@ class TestButterworth:
     def test_rejects_short_signal(self):
         with pytest.raises(SignalLengthError):
             butter_lowpass(np.ones(5), 1.0, 50.0)
+
+    def test_zero_phase_needs_more_than_its_edge_padding(self):
+        # The order-4 zero-phase pass pads 15 samples per edge: exactly
+        # 15 samples is too short and raises the typed error.
+        with pytest.raises(SignalLengthError):
+            butter_lowpass(np.full(15, 1024.0))
+        with pytest.raises(SignalLengthError):
+            butter_lowpass_batch(np.full((3, 15), 1024.0))
+        assert butter_lowpass(np.full(16, 1024.0)).shape == (16,)
+
+    def test_causal_path_keeps_its_length_bound(self):
+        out = butter_lowpass(np.full(15, 1024.0), zero_phase=False)
+        assert out.shape == (15,)
+        with pytest.raises(SignalLengthError):
+            butter_lowpass(np.full(14, 1024.0), zero_phase=False)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_short_signals_raise_only_the_typed_error(self, order):
+        for n in range(1, 40):
+            try:
+                out = butter_lowpass(np.full(n, 1024.0), order=order)
+            except SignalLengthError:
+                continue
+            assert out.shape == (n,)
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detection.cluster import TemporaryClusterConfig
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
 from repro.faults.injector import FaultInjector
@@ -24,6 +24,7 @@ from repro.sensors.accelerometer import Accelerometer
 from repro.sensors.battery import Battery
 from repro.types import Position
 
+from tests.detection.oracles import ScalarNodeDetector
 from tests.scenario.oracles import feed_window
 
 
@@ -123,7 +124,7 @@ class TestCrashAndReboot:
         injector = FaultInjector(plan)
         injector.install(net)
         proc = net.nodes[0]
-        det = NodeDetector(0, proc.position, proc.sid.config.detector)
+        det = ScalarNodeDetector(0, proc.position, proc.sid.config.detector)
         rng = np.random.default_rng(0)
         for k in range(4):
             w = rng.uniform(0.0, 1.0, 100) + (10.0 if k >= 2 else 0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.detection.cluster import TemporaryClusterConfig
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport
 from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
@@ -16,6 +16,7 @@ from repro.network.messages import ClusterReportMsg, MemberReportMsg
 from repro.network.nodeproc import SensorNetwork
 from repro.types import Position
 
+from tests.detection.oracles import ScalarNodeDetector
 from tests.scenario.oracles import feed_window
 
 
@@ -52,7 +53,7 @@ def _network(n=4, spacing=25.0, loss=0.0, seed=0):
 def _drive(net, node_id, windows):
     """Feed quiet/burst windows into one node at 2 s cadence."""
     proc = net.nodes[node_id]
-    det = NodeDetector(
+    det = ScalarNodeDetector(
         node_id, proc.position, proc.sid.config.detector, column=node_id
     )
     rng = np.random.default_rng(42 + node_id)

@@ -1,4 +1,5 @@
-"""Property-based tests for the detection primitives (eqs. 4-8)."""
+"""Property-based tests for the scalar oracle's detection primitives
+(eqs. 4-8)."""
 
 from __future__ import annotations
 
@@ -7,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.detection.adaptive import AdaptiveBaseline, window_stats
-from repro.detection.anomaly import (
+from tests.detection.oracles import (
+    AdaptiveBaseline,
     anomaly_frequency,
     crossing_energy,
     crossing_mask,
     deviations,
     onset_index,
+    window_stats,
 )
 
 _windows = hnp.arrays(

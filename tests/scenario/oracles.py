@@ -5,10 +5,11 @@ fleet engine only, and ambient synthesis under ``"spectral"`` with one
 batched inverse FFT.  The reference formulations live here, so tests
 can demand bit-identical results from the fast paths:
 
-- :func:`reference_offline` — one :class:`NodeDetector` walking each
+- :func:`reference_offline` — one scalar detector
+  (:class:`tests.detection.oracles.ScalarNodeDetector`) walking each
   node's own trace;
-- :func:`reference_network` — one :class:`NodeDetector` per deployed
-  node, stepped at event time behind the node's alive/depleted gates
+- :func:`reference_network` — one scalar detector per deployed node,
+  stepped at event time behind the node's alive/depleted gates
   and reset by a cold restart, on the full one-event-per-window
   schedule;
 - :func:`reference_dutycycled` — one window at a time in global time
@@ -17,7 +18,7 @@ can demand bit-identical results from the fast paths:
   field evaluated through the time-domain engine.
 
 :func:`feed_window` is the per-node way into the protocol stack — a
-test-side detector's outcome for one raw window — for tests that drive
+detector's outcome for one raw window — for tests that drive
 :class:`SIDNode` or :class:`NetworkNode` by hand, and
 :func:`full_schedule` forces the schedule without quiet-tick elision.
 """
@@ -34,7 +35,6 @@ import pytest
 import repro.scenario.runner as runner
 from repro.detection.cluster import TemporaryClusterConfig, TravelLine
 from repro.detection.node_detector import (
-    NodeDetector,
     NodeDetectorConfig,
     merge_reports,
     window_starts,
@@ -56,6 +56,8 @@ from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.types import AccelTrace
 
+from tests.detection.oracles import ScalarNodeDetector
+
 #: The library's methods, kept before any oracle patches their classes.
 _FEED_OUTCOME = NetworkNode.feed_outcome
 _COLD_RESTART = SIDNode.cold_restart
@@ -63,7 +65,7 @@ _COLD_RESTART = SIDNode.cold_restart
 
 def feed_window(
     target: Union[SIDNode, NetworkNode],
-    detector: NodeDetector,
+    detector: ScalarNodeDetector,
     a_window: np.ndarray,
     t0: float,
 ) -> Optional[list[SIDAction]]:
@@ -114,12 +116,12 @@ def reference_offline(
 ) -> OfflineScenarioResult:
     """``detect_and_fuse`` as a per-node loop: the offline oracle.
 
-    ``NodeDetector.process_trace`` per node in deployment order, then
+    ``ScalarNodeDetector.process_trace`` per node in deployment order, then
     report merging and sequential cluster fusion.
     """
     cfg = detector_config if detector_config is not None else NodeDetectorConfig()
     reports_by_node = {
-        node.node_id: NodeDetector(
+        node.node_id: ScalarNodeDetector(
             node.node_id, node.anchor, cfg, row=node.row, column=node.column
         ).process_trace(traces[node.node_id])
         for node in deployment
@@ -151,20 +153,20 @@ def reference_network(*args, **kwargs) -> NetworkScenarioResult:
 
     The event-time oracle: every window of every node is scheduled,
     unmasked, with its raw segment in the report slot; at feed time
-    :func:`feed_window` steps the node's own ``NodeDetector`` behind the
+    :func:`feed_window` steps the node's own scalar detector behind the
     alive/depleted gates, and a cold restart resets that detector.  So
     crashes, reboots and cold restarts act on detection as they happen,
     not through the fleet precompute's plan-derived mask and resets.
     :func:`full_schedule` keeps one feed event per window.  The patches
     last for this call only.
     """
-    detectors: dict[int, NodeDetector] = {}
+    detectors: dict[int, ScalarNodeDetector] = {}
 
     def every_window(deployment, traces, det_cfg, faults, now, cold_restarts):
         w = det_cfg.window_samples
         out = {}
         for node in deployment:
-            detectors[node.node_id] = NodeDetector(
+            detectors[node.node_id] = ScalarNodeDetector(
                 node.node_id,
                 node.anchor,
                 det_cfg,
@@ -197,18 +199,18 @@ def _sequential_walk(
 ):
     """Per-window duty-cycled walk in global ``(t0, node_id, start)`` order.
 
-    Each node owns a full-rate and a coarse ``NodeDetector``; an active
+    Each node owns a full-rate and a coarse scalar detector; an active
     fault plan bills every evaluated window to the node's battery.
     """
     plan_active = faults is not None and faults.active
     detectors = {
-        n.node_id: NodeDetector(
+        n.node_id: ScalarNodeDetector(
             n.node_id, n.anchor, det_cfg, row=n.row, column=n.column
         )
         for n in deployment
     }
     coarse_detectors = {
-        n.node_id: NodeDetector(
+        n.node_id: ScalarNodeDetector(
             n.node_id, n.anchor, coarse_cfg, row=n.row, column=n.column
         )
         for n in deployment
@@ -298,7 +300,7 @@ def reference_dutycycled(*args, **kwargs) -> DutyCycledScenarioResult:
 
     The duty-cycling oracle: every window of every node is visited one
     at a time in global ``(t0, node_id, start)`` order by that node's own
-    ``NodeDetector``, so an alarm wakes exactly the windows after it.
+    scalar detector, so an alarm wakes exactly the windows after it.
     The patch lasts for this call only.
     """
     with pytest.MonkeyPatch.context() as mp:

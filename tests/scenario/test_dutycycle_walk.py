@@ -22,6 +22,7 @@ from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
 from repro.sensors.sampler import Sampler
 
+from tests.conftest import examples
 from tests.scenario.oracles import runner_and_oracle
 
 
@@ -115,7 +116,9 @@ _drains = st.lists(
     ragged=st.booleans(),
     sensitive=st.booleans(),
 )
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(
+    max_examples=examples(40), deadline=None, derandomize=True, database=None
+)
 def test_group_walk_matches_sequential_oracle(
     latency,
     coarse_rate_hz,

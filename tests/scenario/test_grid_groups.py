@@ -3,8 +3,8 @@
 Nodes whose traces share one sample-grid shape form a lockstep
 :class:`FleetDetector` group; a fleet with one node sampling at half
 rate runs as two groups.  Neither the offline nor the network runner may
-fall back to per-node ``NodeDetector.process_window`` calls for that,
-and both must still match the per-node oracles bit for bit.  The
+fall back to per-node ``process_window`` calls for that, and both must
+still match the per-node scalar oracles bit for bit.  The
 duty-cycled runner has one walk too: fault plans, ragged grids and zero
 wake-up latency all run as fleet groups.
 """
@@ -33,21 +33,24 @@ from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.sensors.sampler import Sampler
 from repro.telemetry import Telemetry
 
+from tests.detection.oracles import ScalarNodeDetector
 from tests.scenario.oracles import reference_network, reference_offline
 from tests.scenario.test_offline_split import DETECTOR, SEED, _digest, _setup
 
 
 @pytest.fixture
 def window_calls(monkeypatch):
-    """Node ids of every ``NodeDetector.process_window`` call, in order."""
+    """Node ids of every per-node ``process_window`` call, in order: the
+    scalar oracle's and the library's single-node ``NodeDetector``'s."""
     calls: list[int] = []
-    original = NodeDetector.process_window
+    for cls in (ScalarNodeDetector, NodeDetector):
+        original = cls.process_window
 
-    def counting(self, a_window, t0):
-        calls.append(self.node_id)
-        return original(self, a_window, t0)
+        def counting(self, a_window, t0, original=original):
+            calls.append(self.node_id)
+            return original(self, a_window, t0)
 
-    monkeypatch.setattr(NodeDetector, "process_window", counting)
+        monkeypatch.setattr(cls, "process_window", counting)
     return calls
 
 

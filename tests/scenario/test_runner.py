@@ -235,3 +235,17 @@ class TestCoarseSentinelPath:
             )
             tp += ca.true_positives
         assert tp >= len(dep) // 3
+
+    def test_coarse_stream_at_filter_padlen_raises_typed_error(self):
+        # 3 s at 50 Hz decimated to 5 Hz is a 15-sample coarse stream:
+        # exactly the zero-phase Butterworth's edge padding, too short.
+        from repro.detection.dutycycle import DutyCycleConfig
+        from repro.errors import SignalLengthError
+        from repro.scenario.runner import run_dutycycled_scenario
+
+        with pytest.raises(SignalLengthError):
+            run_dutycycled_scenario(
+                GridDeployment(2, 2, seed=3), [],
+                duty_config=DutyCycleConfig(coarse_rate_hz=5.0),
+                synthesis_config=SynthesisConfig(duration_s=3.0), seed=1,
+            )

@@ -33,6 +33,8 @@ from repro.scenario.synthesis import (
 )
 from repro.sensors.sampler import Sampler
 
+from tests.conftest import examples
+
 SEA_STATES = (SeaState.CALM, SeaState.MODERATE, SeaState.ROUGH)
 
 GENERATED = settings(deadline=None, derandomize=True, database=None)
@@ -55,7 +57,7 @@ def _scenario(seed, sea_state, method, n_rows=3, n_columns=3, duration_s=120.0):
     return dep, [ship], replace(synth, synthesis_method=method)
 
 
-@settings(GENERATED, max_examples=120)
+@settings(GENERATED, max_examples=examples(120))
 @given(
     seed=seeds,
     sea_state=st.sampled_from(SEA_STATES),
@@ -124,7 +126,7 @@ def _read_twice(seed, shape, method, chunk_samples):
     return first, {nid: trace.z for nid, trace in second.items()}
 
 
-@settings(GENERATED, max_examples=100)
+@settings(GENERATED, max_examples=examples(100))
 @given(
     seed=seeds,
     n_rows=rows,
