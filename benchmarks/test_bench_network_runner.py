@@ -26,7 +26,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
@@ -66,8 +66,9 @@ TRAIN_INTERVAL_S = 5.0
 # ---------------------------------------------------------------------------
 # Reference implementation: the simulator as it stood before ISSUE 9,
 # kept verbatim (dataclass heap entries compared via generated __lt__),
-# plus the schedule_periodic emulation the old runner performed inline
-# (pre-scheduling the whole train, one fresh seq per firing).
+# plus the schedule_periodic and schedule_train emulations of what the
+# old runner performed inline (pre-scheduling every periodic firing and
+# every window feed, one fresh seq each).
 # ---------------------------------------------------------------------------
 
 
@@ -180,6 +181,15 @@ class ReferenceSimulator:
             events.append(self.schedule_at(t, fn, *args))
             t += interval
         return _RefTrain(events)
+
+    def schedule_train(
+        self, entries: Sequence[tuple[float, Callable[..., Any], tuple]]
+    ) -> _RefTrain:
+        # The old runner scheduled every window feed up front: one
+        # schedule_at per member, in list order.
+        return _RefTrain(
+            [self.schedule_at(time, fn, *args) for time, fn, args in entries]
+        )
 
     def run(
         self,

@@ -139,6 +139,9 @@ class SelfHealingRuntime:
         # the full connectivity graph (same object — zero divergence
         # until the first repair).
         self.live_graph: nx.Graph = network.graph
+        # (src, dst) -> next hop over the live graph; valid until the
+        # next rebuild(), the only place the topology changes.
+        self._hops: dict[tuple[int, int], Optional[int]] = {}
 
     # ------------------------------------------------------------------
     # Topology repair
@@ -155,6 +158,7 @@ class SelfHealingRuntime:
         self.live_graph = net.graph.subgraph(
             [n for n in net.graph if n not in self.dead]
         )
+        self._hops.clear()
         net.resilience.reroutes += 1
         if net.trace is not None:
             net.trace.emit(
@@ -265,6 +269,13 @@ class SelfHealingRuntime:
         net = self.network
         if dst is None:
             return net.routing.next_hop(src)
+        key = (src, dst)
+        if key not in self._hops:
+            self._hops[key] = self._route(src, dst)
+        return self._hops[key]
+
+    def _route(self, src: int, dst: int) -> Optional[int]:
+        """Shortest-path next hop over the live graph, sentinels as leaves."""
         graph = self.live_graph
         if self.no_relay:
             # Demoted sentinels may terminate a path but not relay it.

@@ -9,17 +9,23 @@ C-level tuple comparison (``seq`` is unique per event, so comparison
 never reaches the non-orderable callback).  Cancellation is lazy — a
 cancelled entry stays queued until popped — with threshold-triggered
 compaction so a workload that cancels heavily (retransmit timers over a
-long soak) cannot grow the heap without bound.  Periodic trains
-(``schedule_periodic``) keep a single queue entry that is re-armed by
-the loop itself, preserving the entry's original ``seq`` so the
-``(time, seq)`` replay order is exactly that of pre-scheduling the
-whole train contiguously up front.
+long soak) cannot grow the heap without bound.
+
+Trains keep a single queue entry for a whole time-ordered run of
+callbacks.  ``schedule_train`` reserves one ``seq`` per entry up front,
+exactly as eager ``schedule_at`` calls would have drawn them, and the
+loop re-arms the entry with the next ``(time, seq, fn, args)`` after
+each firing, so the ``(time, seq)`` replay order is that of the eager
+schedule.  A periodic (``schedule_periodic``) is the train whose next
+entry is ``time + interval`` under its creation ``seq``; both re-arm
+through the same branch of the loop.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from itertools import accumulate, repeat, takewhile
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -29,8 +35,40 @@ _COMPACT_FRACTION = 0.5
 _COMPACT_MIN = 64
 
 
+def _noop() -> None:
+    """Callback of an empty train's inert handle (never queued)."""
+
+
+#: One train member: ``(time, seq, fn, args)``.
+_Member = tuple[float, int, Callable[..., Any], tuple]
+
+
+def _periodic_members(
+    time: float,
+    interval: float,
+    until: Optional[float],
+    seq: int,
+    fn: Callable[..., Any],
+    args: tuple,
+) -> Iterator[_Member]:
+    """The members of a periodic train after the one firing at ``time``.
+
+    Times accumulate (``t = t + interval``) like a pre-scheduled
+    ``while t < until`` loop; every member keeps the creation ``seq``.
+    Built from C-level iterators, so a re-arm runs no Python frame.
+    """
+    times: Iterator[float] = accumulate(repeat(interval), initial=time)
+    next(times)  # ``time`` itself: the member already queued
+    if until is not None:
+        times = takewhile(float(until).__gt__, times)  # while t < until
+    return zip(times, repeat(seq), repeat(fn), repeat(args))
+
+
 class Event:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback or train; supports cancellation.
+
+    Cancelling a train's handle drops every member not yet fired.
+    """
 
     __slots__ = (
         "time",
@@ -38,8 +76,7 @@ class Event:
         "args",
         "cancelled",
         "seq",
-        "interval",
-        "until",
+        "_next",
         "_sim",
         "_queued",
     )
@@ -51,18 +88,17 @@ class Event:
         fn: Callable[..., Any],
         args: tuple,
         seq: int,
-        interval: Optional[float] = None,
-        until: Optional[float] = None,
+        members: Optional[Iterator[_Member]] = None,
     ) -> None:
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.seq = seq
-        #: Re-arm period for periodic events; None for one-shots.
-        self.interval = interval
-        #: Exclusive horizon for periodic re-arming; None = unbounded.
-        self.until = until
+        #: The train members still to fire after this one; None for
+        #: one-shots.  ``time``/``seq``/``fn``/``args`` always describe
+        #: the member currently queued.
+        self._next = members
         self._sim = sim
         self._queued = True
 
@@ -86,6 +122,16 @@ class Simulator:
         sim = Simulator()
         sim.schedule(1.5, node.on_timer)
         sim.run(until=600.0)
+
+    Three ways in: ``schedule``/``schedule_at`` queue one callback,
+    ``schedule_train`` queues a time-ordered run of callbacks behind one
+    queue entry, and ``schedule_periodic`` queues an interval train.
+    Every train member fires as its own event (its own ``seq``, ``fn``
+    and ``args``, each counted in ``n_processed`` and each shown to an
+    attached probe), in exactly the ``(time, seq)`` order eager
+    ``schedule_at`` calls for the same members would have produced.
+    Queue-depth counters (``n_pending``, ``peak_queue_depth``) count
+    queue entries, so a train counts once.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -129,7 +175,7 @@ class Simulator:
 
     @property
     def n_pending(self) -> int:
-        """Live (non-cancelled) events still queued."""
+        """Live (non-cancelled) queue entries; a train counts once."""
         return len(self._queue) - self._cancelled_in_queue
 
     @property
@@ -181,10 +227,55 @@ class Simulator:
         event = Event(self, time, fn, args, seq)
         if self._probe is not None:
             self._probe.on_scheduled(event)
+        # The one-shot hot path: ``_push`` inlined.
         queue = self._queue
         heapq.heappush(queue, (time, seq, event))
         if len(queue) > self._peak_depth:
             self._peak_depth = len(queue)
+        return event
+
+    def schedule_train(
+        self, entries: Sequence[tuple[float, Callable[..., Any], tuple]]
+    ) -> Event:
+        """Run each ``fn(*args)`` of ``entries`` at its ``time``.
+
+        ``entries`` lists ``(time, fn, args)`` in the order eager
+        ``schedule_at(time, fn, *args)`` calls would have been made.  One
+        ``seq`` per entry is reserved here, in list order, and the
+        members fire in ``(time, seq)`` order behind a single queue
+        entry — the same order, against every other event, as the eager
+        calls give.  An attached probe sees every member scheduled now
+        and every member begin as its own event.  Cancelling the
+        returned handle drops the members not yet fired; an empty train
+        returns an inert handle.
+        """
+        base = self._seq
+        members = [
+            (time, base + i, fn, args)
+            for i, (time, fn, args) in enumerate(entries)
+        ]
+        members.sort()
+        if members and members[0][0] < self._now:
+            raise SimulationError(
+                f"cannot schedule at {members[0][0]} < now ({self._now})"
+            )
+        self._seq = base + len(members)
+        if not members:
+            event = Event(self, self._now, _noop, (), base)
+            event._queued = False
+            return event
+        rest = iter(members)
+        time, seq, fn, args = next(rest)
+        event = Event(self, time, fn, args, seq, rest)
+        probe = self._probe
+        if probe is not None:
+            # Show the probe each member through the handle, as it will
+            # see them fire, then load the first member back.
+            for member in members:
+                event.time, event.seq, event.fn, event.args = member
+                probe.on_scheduled(event)
+            event.time, event.seq, event.fn, event.args = members[0]
+        self._push(event)
         return event
 
     def schedule_periodic(
@@ -201,11 +292,10 @@ class Simulator:
         ``now + interval``); re-arming continues while the next firing
         time stays strictly below ``until`` (exclusive; None =
         forever).  Firing times accumulate (``t += interval``), exactly
-        like a pre-scheduled ``while t < until`` train, and the single
-        queue entry keeps its creation ``seq``, so same-time ordering
-        against other events is identical to scheduling the whole train
-        contiguously up front.  Cancelling the returned event stops the
-        train.
+        like a pre-scheduled ``while t < until`` train, and every firing
+        keeps the creation ``seq``, so same-time ordering against other
+        events is identical to scheduling the whole train contiguously
+        up front.  Cancelling the returned event stops the train.
         """
         if interval <= 0:
             raise SimulationError(
@@ -219,7 +309,12 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(
-            self, start, fn, args, seq, interval=interval, until=until
+            self,
+            start,
+            fn,
+            args,
+            seq,
+            _periodic_members(start, interval, until, seq, fn, args),
         )
         if until is not None and start >= until:
             # Empty train: nothing to queue; hand back an inert handle.
@@ -227,11 +322,14 @@ class Simulator:
             return event
         if self._probe is not None:
             self._probe.on_scheduled(event)
+        self._push(event)
+        return event
+
+    def _push(self, event: Event) -> None:
         queue = self._queue
-        heapq.heappush(queue, (start, seq, event))
+        heapq.heappush(queue, (event.time, event.seq, event))
         if len(queue) > self._peak_depth:
             self._peak_depth = len(queue)
-        return event
 
     # ------------------------------------------------------------------
     # Heap hygiene
@@ -275,6 +373,28 @@ class Simulator:
         ``until`` stops the clock at that time (events beyond it stay
         queued); ``max_events`` guards against runaway feedback loops.
         """
+        executed = self._execute(until, max_events, strict=True)
+        if until is not None and self._now < until:
+            self._now = until
+        return executed
+
+    def step(self) -> bool:
+        """Execute exactly one (non-cancelled) event; False when empty."""
+        return self._execute(None, 1, strict=False) == 1
+
+    def _execute(
+        self, until: Optional[float], limit: int, strict: bool
+    ) -> int:
+        """The event loop behind ``run`` and ``step``.
+
+        Pops and fires events in ``(time, seq)`` order until the queue
+        empties, the next event lies beyond ``until``, or ``limit``
+        events have fired (an error when ``strict``).  A fired train
+        that was not cancelled re-arms here with its next member — the
+        one re-arm path for trains and periodics alike.  The member
+        keeps its reserved ``seq``, so the re-pushed entry sorts exactly
+        where its eager counterpart would have.
+        """
         if self._running:
             raise SimulationError("simulator re-entered from a callback")
         self._running = True
@@ -292,9 +412,11 @@ class Simulator:
                 time = entry[0]
                 if until is not None and time > until:
                     break
-                if executed >= max_events:
+                if executed >= limit:
+                    if not strict:
+                        break
                     raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway schedule?"
+                        f"exceeded max_events={limit}; runaway schedule?"
                     )
                 heappop(queue)
                 event = entry[2]
@@ -312,50 +434,18 @@ class Simulator:
                     finally:
                         probe.on_event_end(event)
                 executed += 1
-                interval = event.interval
-                if interval is not None and not event.cancelled:
-                    next_time = time + interval
-                    event_until = event.until
-                    if event_until is None or next_time < event_until:
-                        event.time = next_time
+                members = event._next
+                if members is not None and not event.cancelled:
+                    member = next(members, None)
+                    if member is None:
+                        event._next = None
+                    else:
+                        time, seq, event.fn, event.args = member
+                        event.time = time
+                        event.seq = seq
                         event._queued = True
-                        heappush(queue, (next_time, event.seq, event))
-            if until is not None and self._now < until:
-                self._now = until
+                        heappush(queue, (time, seq, event))
         finally:
             self._processed += executed
             self._running = False
         return executed
-
-    def step(self) -> bool:
-        """Execute exactly one (non-cancelled) event; False when empty."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            event = entry[2]
-            event._queued = False
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self._now = entry[0]
-            probe = self._probe
-            if probe is None:
-                event.fn(*event.args)
-            else:
-                probe.on_event_begin(entry[0], event)
-                try:
-                    event.fn(*event.args)
-                finally:
-                    probe.on_event_end(event)
-            self._processed += 1
-            interval = event.interval
-            if interval is not None and not event.cancelled:
-                next_time = entry[0] + interval
-                if event.until is None or next_time < event.until:
-                    event.time = next_time
-                    event._queued = True
-                    heapq.heappush(
-                        queue, (next_time, event.seq, event)
-                    )
-            return True
-        return False

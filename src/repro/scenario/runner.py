@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.detection.cluster import (
     ClusterEvent,
@@ -736,6 +736,11 @@ def run_network_scenario(
     group per sample grid; detection is local, so this is exact); the
     outcomes replay into each node's SID state machine at the window
     end times, and protocol traffic rides the lossy simulated radio.
+    Each node's window feeds ride one lazy train
+    (``Simulator.schedule_train``): a single queue entry whose members
+    keep the seqs per-window ``schedule_at`` calls would have drawn, so
+    the replay order — and every digest — is that of the eager
+    schedule while the queue stays a few entries per node deep.
 
     ``faults`` injects the plan's sensor / node / network pathologies
     into the run; an absent or empty plan leaves every code path — and
@@ -768,7 +773,8 @@ def run_network_scenario(
     Quiet-tick elision skips scheduling provably-no-op window feeds and
     timer ticks during radio-quiet stretches, coalescing their battery
     billing into batched catch-up events with arithmetically identical
-    draws.  The inputs alone decide it: it engages only when no fault
+    draws; the catch-ups and the ticks kept ride the node's feed
+    train.  The inputs alone decide it: it engages only when no fault
     plan is active, no low-charge watch is armed and no battery can
     deplete (``_billing_order_free``); otherwise every window gets its
     own feed event.  The result is bit-identical either way.
@@ -925,7 +931,12 @@ def run_network_scenario(
             sanitizer.track_node(proc)
         # Replay the precomputed outcomes at their window end times (a
         # masked-out crash window schedules nothing — its feed would
-        # have fired as a no-op on a dead node).
+        # have fired as a no-op on a dead node).  The node's whole
+        # schedule rides one train: members keep the seqs eager
+        # per-window scheduling would have drawn, in the same order.
+        feed = proc.feed_outcome
+        catch_up = proc.catch_up_quiet_windows
+        train: list[tuple[float, Callable[..., Any], tuple]] = []
         intervals = active.get(node.node_id, [])
         cursor = [0]
         quiet_n = 0
@@ -942,25 +953,11 @@ def run_network_scenario(
                 quiet_last = t_end
                 continue
             if quiet_n:
-                network.sim.schedule_at(
-                    quiet_last,
-                    proc.catch_up_quiet_windows,
-                    quiet_n,
-                    window,
-                )
+                train.append((quiet_last, catch_up, (quiet_n, window)))
                 quiet_n = 0
-            network.sim.schedule_at(
-                t_end,
-                proc.feed_outcome,
-                report,
-                window,
-                t_start,
-                seeded,
-            )
+            train.append((t_end, feed, (report, window, t_start, seeded)))
         if quiet_n:
-            network.sim.schedule_at(
-                quiet_last, proc.catch_up_quiet_windows, quiet_n, window
-            )
+            train.append((quiet_last, catch_up, (quiet_n, window)))
         if sanitizer is not None and proc.battery is not None:
             # Declared billing intent: each window bills draw_cpu
             # seconds of 0.001*window, so the per-window joule amount
@@ -971,17 +968,19 @@ def run_network_scenario(
                 (0.001 * window) * proc.battery.costs.cpu_j_per_s,
                 strict=not injector.active,
             )
-        # Timer ticks keep cluster deadlines firing after sampling ends.
+        # Timer ticks keep cluster deadlines firing after sampling ends;
+        # elided ticks join the feed train, the full schedule's ride a
+        # periodic of their own.
         horizon = trace.t0 + trace.duration + 2 * cfg.cluster.collection_timeout_s
         if elide:
-            intervals = active.get(node.node_id, [])
             cursor = [0]
             t = trace.t0 + cfg.detector.window_s
             while t < horizon:
                 if _in_active(t, intervals, cursor):
-                    network.sim.schedule_at(t, proc.tick)
+                    train.append((t, proc.tick, ()))
                 t += cfg.detector.window_s
-        else:
+        network.sim.schedule_train(train)
+        if not elide:
             network.sim.schedule_periodic(
                 cfg.detector.window_s,
                 proc.tick,

@@ -9,12 +9,10 @@ whole report lists — no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.detection.fleet import FleetDetector, FleetMember, FleetStream
+from repro.detection.fleet import FleetDetector, FleetMember
 from repro.detection.node_detector import NodeDetectorConfig, window_starts
 from repro.errors import ConfigurationError, SignalLengthError
 from repro.rng import make_rng

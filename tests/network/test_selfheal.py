@@ -255,3 +255,57 @@ def test_demoted_node_routed_as_leaf():
     net.send_to_sink(victim, _sink_msg(victim))
     net.sim.run()
     assert net.sink_node.received_frames == 1
+
+
+def _fresh_hop(net, src, dst):
+    """``_next_hop`` recomputed from scratch over the current topology."""
+    heal = net.heal
+    graph = net.graph.subgraph(
+        [
+            n
+            for n in net.graph
+            if n not in heal.dead and (n not in heal.no_relay or n in (src, dst))
+        ]
+    )
+    if src not in graph or dst not in graph:
+        return None
+    try:
+        path = nx.shortest_path(graph, src, dst)
+    except nx.NetworkXNoPath:
+        return None
+    return path[1] if len(path) > 1 else None
+
+
+def test_cached_next_hop_tracks_every_topology_change(monkeypatch):
+    net, _ = _heal_network(SelfHealingConfig())
+    heal = net.heal
+    pairs = [(s, d) for s in net.graph for d in net.graph]
+    shortest_path = nx.shortest_path
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return shortest_path(*args, **kwargs)
+
+    def check():
+        expected = {pair: _fresh_hop(net, *pair) for pair in pairs}
+        monkeypatch.setattr(nx, "shortest_path", counted)
+        try:
+            assert {pair: heal._next_hop(*pair) for pair in pairs} == expected
+            first = len(calls)
+            # A second sweep is served from the cache.
+            assert {pair: heal._next_hop(*pair) for pair in pairs} == expected
+            assert len(calls) == first
+        finally:
+            monkeypatch.setattr(nx, "shortest_path", shortest_path)
+        calls.clear()
+        return expected
+
+    initial = check()
+    assert initial[(0, 3)] in (1, 2)
+    heal.declare_dead(1)
+    assert check()[(0, 3)] == 2
+    heal.demote(2)
+    assert check()[(0, 3)] is None
+    heal.node_rejoined(1)
+    assert check()[(0, 3)] == 1

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.network.simulator import _COMPACT_MIN, Simulator
@@ -290,3 +294,157 @@ class TestSchedulePeriodic:
         assert sim.step()
         assert not sim.step()
         assert times == [1.0, 2.0]
+
+
+class _Harness:
+    """One arm of the train-vs-eager comparison.
+
+    Every callback is a method that logs itself through the probe;
+    ``spawn`` members schedule a child (possibly at the same time) and
+    the ``cancel_after``-th firing cancels the train.
+    """
+
+    def __init__(self, eager: bool, cancel_after: Optional[int]) -> None:
+        self.sim = Simulator()
+        self.sim.attach_probe(self)
+        self.eager = eager
+        self.cancel_after = cancel_after
+        self.fired: list[tuple[float, int, str, tuple]] = []
+        self.scheduled: list[int] = []
+        self.handles: list = []
+
+    # Probe protocol -------------------------------------------------
+    def on_scheduled(self, event) -> None:
+        self.scheduled.append(event.seq)
+
+    def on_event_begin(self, time, event) -> None:
+        self.fired.append((time, event.seq, event.fn.__name__, event.args))
+
+    def on_event_end(self, event) -> None:
+        pass
+
+    # Callbacks ------------------------------------------------------
+    def _after_fire(self) -> None:
+        if len(self.fired) == self.cancel_after:
+            for handle in self.handles:
+                handle.cancel()
+
+    def ping(self, label, spawn_delay=None) -> None:
+        if spawn_delay is not None:
+            self.sim.schedule(spawn_delay, self.pong, label)
+        self._after_fire()
+
+    def pong(self, label, spawn_delay=None) -> None:
+        if spawn_delay is not None:
+            self.sim.schedule(spawn_delay, self.ping, label)
+        self._after_fire()
+
+    # Setup ------------------------------------------------------------
+    def install(self, before, members, after) -> None:
+        for time, label in before:
+            self.sim.schedule_at(time, self.ping, label)
+        entries = [
+            (time, self.pong if kind else self.ping, (label, spawn))
+            for time, kind, label, spawn in members
+        ]
+        if self.eager:
+            self.handles = [
+                self.sim.schedule_at(time, fn, *args)
+                for time, fn, args in entries
+            ]
+        else:
+            self.handles = [self.sim.schedule_train(entries)]
+        for time, label in after:
+            self.sim.schedule_at(time, self.pong, label)
+
+
+_times = st.integers(0, 6).map(float)
+_one_shots = st.lists(st.tuples(_times, st.integers(0, 99)), max_size=6)
+
+
+@given(
+    before=_one_shots,
+    members=st.lists(
+        st.tuples(
+            _times,
+            st.booleans(),
+            st.integers(100, 199),
+            st.sampled_from([None, 0.0, 1.0]),
+        ),
+        max_size=12,
+    ),
+    after=_one_shots,
+    cancel_after=st.one_of(st.none(), st.integers(1, 12)),
+    mode=st.sampled_from(["run", "until", "step"]),
+    until=_times,
+)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_train_replays_eager_schedule(
+    before, members, after, cancel_after, mode, until
+):
+    # Members arrive in scheduling order, not time order: the train
+    # must sort them by (time, reserved seq) exactly as the heap would.
+    arms = [_Harness(eager, cancel_after) for eager in (True, False)]
+    for arm in arms:
+        arm.install(before, members, after)
+        if mode == "run":
+            arm.sim.run()
+        elif mode == "until":
+            arm.sim.run(until=until)
+            assert arm.sim.now == until
+            arm.fired.append((until, -1, "stop", ()))
+            arm.sim.run()
+        else:
+            while arm.sim.step():
+                pass
+    eager, train = arms
+    assert train.fired == eager.fired
+    assert sorted(train.scheduled) == sorted(eager.scheduled)
+    assert train.sim.n_processed == eager.sim.n_processed
+    assert train.sim.n_pending == eager.sim.n_pending == 0
+
+
+class TestScheduleTrain:
+    def test_one_queue_entry_for_the_whole_train(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_train(
+            [(float(t), log.append, (t,)) for t in (3, 1, 2)]
+        )
+        assert sim.n_pending == 1
+        sim.run()
+        assert log == [1, 2, 3]
+        assert sim.peak_queue_depth == 1
+        assert sim.n_processed == 3
+
+    def test_members_keep_reserved_seqs_against_later_events(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_train([(1.0, log.append, ("a",)), (2.0, log.append, ("b",))])
+        sim.schedule_at(1.0, log.append, "one-shot")
+        sim.run()
+        assert log == ["a", "one-shot", "b"]
+
+    def test_empty_train_is_inert(self):
+        sim = Simulator()
+        ev = sim.schedule_train([])
+        assert sim.n_pending == 0
+        ev.cancel()
+        assert sim.n_cancelled == 0
+        assert sim.run() == 0
+
+    def test_member_in_past_rejected(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_train([(6.0, print, ()), (1.0, print, ())])
+
+    def test_cancel_before_run_drops_every_member(self):
+        sim = Simulator()
+        log = []
+        ev = sim.schedule_train([(1.0, log.append, (1,)), (2.0, log.append, (2,))])
+        ev.cancel()
+        assert sim.n_cancelled == 1
+        assert sim.run() == 0
+        assert log == []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.physics.spectrum import PiersonMoskowitzSpectrum
 from repro.physics.wavefield import AmbientWaveField
 from repro.types import Position
 

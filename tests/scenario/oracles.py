@@ -20,7 +20,9 @@ can demand bit-identical results from the fast paths:
 :func:`feed_window` is the per-node way into the protocol stack — a
 detector's outcome for one raw window — for tests that drive
 :class:`SIDNode` or :class:`NetworkNode` by hand, and
-:func:`full_schedule` forces the schedule without quiet-tick elision.
+:func:`full_schedule` forces the schedule without quiet-tick elision;
+:func:`eager_trains` expands every train into one queued event per
+member.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.sid import SIDAction, SIDNode
 from repro.faults.plan import BatteryDrain
 from repro.network.nodeproc import NetworkNode
+from repro.network.simulator import Event, Simulator
 from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import (
@@ -103,6 +106,26 @@ def full_schedule() -> Iterator[pytest.MonkeyPatch]:
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "_billing_order_free", lambda *args: False)
+        yield mp
+
+
+def _eager_train(
+    sim: Simulator, entries: Sequence[tuple]
+) -> list[Event]:
+    return [sim.schedule_at(time, fn, *args) for time, fn, args in entries]
+
+
+@contextmanager
+def eager_trains() -> Iterator[pytest.MonkeyPatch]:
+    """Replace ``Simulator.schedule_train`` with its eager expansion.
+
+    Each member becomes its own ``schedule_at`` call, in list order — the
+    seqs the train reserves — so the run replays the same ``(time, seq)``
+    order with every member queued up front.  The patch lasts for the
+    ``with`` block.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "schedule_train", _eager_train)
         yield mp
 
 

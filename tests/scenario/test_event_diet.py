@@ -25,7 +25,7 @@ from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
 from repro.telemetry import Telemetry
 
-from tests.scenario.oracles import full_schedule
+from tests.scenario.oracles import eager_trains, full_schedule
 
 
 def _config():
@@ -147,3 +147,43 @@ class TestElisionUnderHealing:
         )
         assert fast == full
         assert fast_events == full_events
+
+
+class TestLazyTrains:
+    """Each node's window feeds ride one queue entry (DESIGN.md §14).
+
+    The trains change no event: the eager expansion (one queued event
+    per member) must execute the same events with the same digest.
+    If the runner stops handing its feeds to trains, the peak queue
+    depth grows with the window count and these fail.
+    """
+
+    N_NODES = 9
+
+    @staticmethod
+    def _scheduler(**kwargs):
+        tel = Telemetry.memory()
+        result = _run(telemetry=tel, **kwargs)
+        counter = tel.metrics.counter
+        return (
+            scenario_digest(result),
+            counter("scheduler.events_executed").value,
+            counter("scheduler.peak_queue_depth").value,
+        )
+
+    def _check(self, **kwargs):
+        digest, events, depth = self._scheduler(**kwargs)
+        with eager_trains():
+            eager_digest, eager_events, eager_depth = self._scheduler(**kwargs)
+        assert digest == eager_digest
+        assert events == eager_events
+        assert depth <= 5 * self.N_NODES < eager_depth
+
+    def test_healed_faulted_run_keeps_queue_shallow(self):
+        plan = FaultPlan.rolling_crashes(
+            [4, 4], first_at_s=50.0, interval_s=50.0, downtime_s=30.0
+        )
+        self._check(faults=plan, healing=SelfHealingConfig())
+
+    def test_quiet_elided_run_keeps_queue_shallow(self):
+        self._check(with_ship=False)

@@ -14,7 +14,6 @@ from repro.telemetry import (
     ManualClock,
     Telemetry,
     TraceEvent,
-    Tracer,
     iter_trace_jsonl,
     read_trace_jsonl,
     to_chrome_trace,
